@@ -22,7 +22,6 @@ from .classify import (
 )
 from .core import (
     FormatError,
-    InvalidQuandleError,
     dihedral_quandle,
     direct_product,
     dumps_quandle,
@@ -33,12 +32,10 @@ from .core import (
 )
 from .enumeration import (
     BudgetExceededError,
-    OrderCapError,
     enumerate_flat_connected_classes,
     enumerate_quandles,
 )
 from .triplets import (
-    InvalidTripletError,
     fix_set,
     is_abelian_group,
     parse_triplet,
@@ -293,12 +290,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    # Malformed input, invalid tables and triplets, and the order cap all
+    # raise ValueError subclasses.
     try:
         return args.func(args)
-    except (FormatError, InvalidQuandleError, InvalidTripletError) as e:
-        _fail(str(e))
-        return 2
-    except (OrderCapError, BudgetExceededError, OSError, ValueError) as e:
+    except (BudgetExceededError, OSError, ValueError) as e:
         _fail(str(e))
         return 2
 

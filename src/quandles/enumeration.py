@@ -19,7 +19,6 @@ from itertools import permutations
 from .analysis import is_connected, is_flat
 from .core import Quandle
 from .isomorphism import find_isomorphism
-from .perms import orbit
 
 DEFAULT_MAX_ORDER = 6
 
@@ -127,9 +126,6 @@ def enumerate_flat_connected_classes(
     """
     reps: list[Quandle] = []
     for X in enumerate_quandles(n, budget, max_order):
-        # Cheap pre-filter: transitivity of the rows alone decides connectivity.
-        if len(orbit(X.table, 0)) != n:
-            continue
         if not is_connected(X) or not is_flat(X):
             continue
         if all(find_isomorphism(X, rep) is None for rep in reps):

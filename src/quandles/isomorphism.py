@@ -78,7 +78,13 @@ def _displacement_order_multiset(X: Quandle) -> tuple[int, ...]:
     return tuple(sorted(perm_order(compose(rx, ry)) for rx in rows for ry in rows))
 
 
-def _search(X: Quandle, Y: Quandle, find_all: bool) -> list[tuple[int, ...]]:
+def _search(
+    X: Quandle, Y: Quandle, find_all: bool, image_of_0: int | None = None
+) -> list[tuple[int, ...]]:
+    """Isomorphisms X -> Y: the first one, or all with `find_all`.
+
+    `image_of_0`, when given, restricts the search to maps sending 0 there.
+    """
     n = X.n
     px = _point_profiles(X)
     py = _point_profiles(Y)
@@ -87,6 +93,8 @@ def _search(X: Quandle, Y: Quandle, find_all: bool) -> list[tuple[int, ...]]:
     if _displacement_order_multiset(X) != _displacement_order_multiset(Y):
         return []
     candidates = [[y for y in range(n) if py[y] == px[x]] for x in range(n)]
+    if image_of_0 is not None:
+        candidates[0] = [y for y in candidates[0] if y == image_of_0]
     # Pairs (a, b) with both points assigned strictly before their table value:
     # once position t is being assigned, these pin its image.
     preimage = [[] for _ in range(n)]

@@ -8,6 +8,7 @@ sets.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 
@@ -29,7 +30,9 @@ def compose(p: Perm, q: Perm) -> Perm:
     """p after q: the permutation i -> p[q[i]]."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[i] for i in q)
+    if len(q) < 2:  # itemgetter of one index returns a bare item, not a tuple
+        return tuple(p[i] for i in q)
+    return itemgetter(*q)(p)
 
 
 def inverse(p: Perm) -> Perm:
@@ -63,9 +66,10 @@ def perm_order(p: Perm) -> int:
 class PermutationGroup:
     """A finite permutation group with its generating set and full element list.
 
-    `elements` is closed under composition and inversion, contains the
-    identity, and is sorted lexicographically so that equal groups always
-    enumerate identically.
+    `generators` generate `elements`; from `closure` they are the kept subset
+    (none for the trivial group).  `elements` is closed under composition and
+    inversion, contains the identity, and is sorted lexicographically so that
+    equal groups always enumerate identically.
     """
 
     __slots__ = ("degree", "generators", "elements", "_members")
@@ -92,6 +96,9 @@ class PermutationGroup:
 def closure(generators, cap: int | None = None) -> PermutationGroup:
     """Generate the group spanned by `generators` by breadth-first products.
 
+    A generator already in the group closed so far is skipped, as in Dimino's
+    method; the rest, in input order, are kept as the result's `generators`.
+    Each at least doubles the group, so at most log2 of its order are kept.
     `cap` bounds the number of elements and defaults to degree!, the largest
     possible order; exceeding it raises ClosureLimitError.
     """
@@ -104,24 +111,31 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
             raise ValueError(f"not a permutation of degree {degree}: {g}")
     if cap is None:
         cap = math.factorial(degree)
-    unique_gens = list(dict.fromkeys(gens))
-    ident = identity_perm(degree)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for h in frontier:
-            for g in unique_gens:
-                p = compose(g, h)
-                if p not in elements:
-                    elements.add(p)
-                    if len(elements) > cap:
-                        raise ClosureLimitError(
-                            f"closure exceeded cap of {cap} elements"
-                        )
-                    new.append(p)
-        frontier = new
-    return PermutationGroup(degree, gens, sorted(elements))
+    elements = {identity_perm(degree)}
+    kept: list[Perm] = []
+    for g in gens:
+        if g in elements:
+            continue
+        kept.append(g)
+        # Every element was already multiplied by the earlier generators; only
+        # g is new to them.  Elements found from here on need every generator.
+        frontier = list(elements)
+        step = [g]
+        while frontier:
+            new = []
+            for h in frontier:
+                for k in step:
+                    p = compose(k, h)
+                    if p not in elements:
+                        elements.add(p)
+                        if len(elements) > cap:
+                            raise ClosureLimitError(
+                                f"closure exceeded cap of {cap} elements"
+                            )
+                        new.append(p)
+            frontier = new
+            step = kept
+    return PermutationGroup(degree, kept, sorted(elements))
 
 
 def orbit(generators, point: int) -> set[int]:
@@ -147,7 +161,7 @@ def is_transitive(group: PermutationGroup) -> bool:
 
 def is_abelian(group: PermutationGroup) -> bool:
     # Generators commuting pairwise is enough: they generate everything.
-    gens = list(dict.fromkeys(group.generators))
+    gens = group.generators
     for i, g in enumerate(gens):
         for h in gens[i + 1 :]:
             if compose(g, h) != compose(h, g):

@@ -297,11 +297,12 @@ def triplet_from_quandle(
 ) -> DerivedTriplet:
     """Derive (G, G_x, conjugation-by-s_x) from a symmetry-stable group G.
 
-    `group` defaults to the displacement group.  Every element is verified to
-    be a quandle automorphism and the conjugation s_x g s_x^-1 is verified to
-    land back in the group.  When the group acts transitively the returned
-    witness is checked to be an isomorphism from the coset quandle onto X;
-    requesting a witness from an intransitive group is an error.
+    `group` defaults to the displacement group.  Every generator is verified
+    to be a quandle automorphism, which makes every element one, and the
+    conjugation s_x g s_x^-1 is verified to land back in the group.  When the
+    group acts transitively the returned witness is checked to be an
+    isomorphism from the coset quandle onto X; requesting a witness from an
+    intransitive group is an error.
     """
     if group is None:
         group = displacement_group(X)
@@ -310,14 +311,10 @@ def triplet_from_quandle(
     if not 0 <= basepoint < X.n:
         raise ValueError(f"basepoint {basepoint} out of range")
     xt = X.table
-    for p in group.elements:
-        for x in range(X.n):
-            px, rx = p[x], xt[x]
-            for y in range(X.n):
-                if p[rx[y]] != xt[px][p[y]]:
-                    raise ValueError(
-                        f"group element {p} is not a quandle automorphism"
-                    )
+    for p in group.generators:
+        # p . s_x = s_{p(x)} . p says p(s_x(y)) = s_{p(x)}(p(y)) for every y.
+        if any(compose(p, xt[x]) != compose(xt[p[x]], p) for x in range(X.n)):
+            raise ValueError(f"group element {p} is not a quandle automorphism")
     sx = xt[basepoint]
     sx_inv = inverse(sx)
     # Abstract indices follow lexicographic element order, matching

@@ -1,10 +1,12 @@
-from conftest import affine5, pinned_point_quandle, small_corpus
+from conftest import affine5, affine_quandle, pinned_point_quandle, small_corpus
 from quandles import (
     analyze,
     automorphism_group,
+    closure,
     dihedral_quandle,
     direct_product,
     displacement_group,
+    enumerate_quandles,
     inner_group,
     is_connected,
     is_flat,
@@ -26,6 +28,23 @@ def test_displacement_group_orders():
     assert len(displacement_group(dihedral_quandle(4))) == 2
     for n in (1, 2, 5):
         assert len(displacement_group(trivial_quandle(n))) == 1
+    # s_x . s_0, not s_x . s_0^-1: the latter generates only the translations.
+    assert len(displacement_group(affine5())) == 10
+
+
+def _labelled_quandles_to_order_5():
+    quandles = [X for n in range(1, 6) for X in enumerate_quandles(n)]
+    assert len(quandles) == 1 + 1 + 5 + 36 + 404
+    return quandles
+
+
+def test_displacement_group_from_n_generators_matches_all_pairs():
+    quandles = _labelled_quandles_to_order_5()
+    quandles += [affine_quandle(p, t) for p, t in ((5, 2), (7, 3), (11, 2), (13, 2))]
+    for X in quandles:
+        rows = X.table
+        every_pair = closure([compose(rx, ry) for rx in rows for ry in rows])
+        assert displacement_group(X).elements == every_pair.elements
 
 
 def test_displacement_group_of_odd_dihedral_is_translations():
@@ -84,6 +103,11 @@ def test_homogeneous_examples():
     for n in (1, 2, 3, 4):
         assert is_homogeneous(trivial_quandle(n))
     assert not is_homogeneous(pinned_point_quandle())
+
+
+def test_homogeneous_matches_automorphism_group_oracle():
+    for X in _labelled_quandles_to_order_5() + [pinned_point_quandle()]:
+        assert is_homogeneous(X) == is_transitive(automorphism_group(X))
 
 
 def test_connected_implies_homogeneous():

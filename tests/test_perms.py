@@ -29,11 +29,16 @@ def test_compose_examples():
     assert compose((1, 0, 2), (0, 2, 1)) == (1, 2, 0)
     assert compose((0, 1, 2), (2, 0, 1)) == (2, 0, 1)
     assert compose((1, 0), (1, 0)) == (0, 1)
+    assert compose((0,), (0,)) == (0,)
+    assert isinstance(compose((0,), (0,)), tuple)
+    assert compose((), ()) == ()
 
 
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
         compose((0, 1), (0, 1, 2))
+    with pytest.raises(ValueError):
+        compose((0,), (1, 0))
 
 
 @given(perms_of_4, perms_of_4, perms_of_4)
@@ -73,7 +78,9 @@ def test_closure_dihedral3_rows_is_s3():
 
 
 def test_closure_identity_only():
-    assert len(closure([(0, 1, 2)])) == 1
+    group = closure([(0, 1, 2)])
+    assert len(group) == 1
+    assert group.generators == ()
 
 
 def test_closure_rejects_empty_and_junk():
@@ -86,6 +93,10 @@ def test_closure_rejects_empty_and_junk():
 def test_closure_cap_exceeded():
     with pytest.raises(ClosureLimitError):
         closure([(1, 0, 2), (0, 2, 1)], cap=3)  # generates S_3
+    with pytest.raises(ClosureLimitError):
+        closure([(1, 0, 2), (0, 2, 1)], cap=2)  # the first alone fits the cap
+    # A redundant generator adds no elements, so the cap of Z_3 holds.
+    assert len(closure([(1, 2, 0), (2, 0, 1)], cap=3)) == 3
 
 
 def test_closure_default_cap_is_degree_factorial():
@@ -210,3 +221,8 @@ def test_closure_contains_generators_and_is_closed(gens):
     assert identity_perm(4) in group
     for h in group.elements:
         assert inverse(h) in group
+    # Only generators that enlarge the group are kept, each at least doubling it.
+    assert set(group.generators) <= set(gens)
+    assert 2 ** len(group.generators) <= len(group)
+    again = closure(group.generators or [identity_perm(4)])
+    assert again.elements == group.elements
