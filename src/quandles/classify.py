@@ -15,14 +15,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .analysis import displacement_group, is_connected, is_flat
-from .core import (
-    InvalidQuandleError,
-    Quandle,
-    dihedral_quandle,
-    direct_product,
-    trivial_quandle,
-    validate_quandle,
-)
+from .core import Quandle, dihedral_quandle, direct_product, trivial_quandle
 from .isomorphism import find_isomorphism
 from .triplets import (
     FiniteGroup,
@@ -44,8 +37,10 @@ class ClassificationError(Exception):
 class TheoremViolationError(RuntimeError):
     """A certified flat connected quandle failed to decompose.
 
-    This cannot happen for a correct implementation; the message carries the
-    offending table so the failure can be reproduced.
+    For a quandle this cannot happen with a correct implementation.  It is
+    also how a table that breaks the axioms can fail, since `Quandle` checks
+    only the shape and no isomorphism witness exists for it.  The message
+    carries the offending table so the failure can be reproduced.
     """
 
 
@@ -198,15 +193,18 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
 def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     """Decompose a flat connected quandle into odd-prime-power dihedral factors.
 
-    The hypotheses are verified, not assumed: an invalid table, a disconnected
-    quandle, or a non-flat quandle is an error naming the failed certificate.
-    The derived displacement-group triplet is also checked against the
-    structure theory (trivial stabilizer, inversion automorphism) before the
-    factors are extracted, and the final isomorphism witness must exist.
+    X must be a quandle; raw tables are validated by `as_quandle` or
+    `load_quandle`.  Connectivity and flatness are verified, not assumed: a
+    disconnected or non-flat quandle is an error naming the failed
+    certificate.  The derived displacement-group triplet is also checked
+    against the structure theory (trivial stabilizer, inversion automorphism)
+    before the factors are extracted, and the final isomorphism witness must
+    exist.  The witness satisfies the homomorphism equation on all n^2 pairs
+    onto a dihedral product, so it also certifies that X satisfies the axioms:
+    a table that breaks them raises ValueError, ClassificationError or
+    TheoremViolationError and is never decomposed, though it may first close
+    a displacement group of up to n! elements.
     """
-    violations = validate_quandle(X.table)
-    if violations:
-        raise InvalidQuandleError(violations)
     if not is_connected(X):
         raise ClassificationError("not-connected", f"order-{X.n} quandle is disconnected")
     if not is_flat(X):

@@ -15,7 +15,6 @@ import sys
 from .analysis import analyze, is_connected
 from .classify import (
     ClassificationError,
-    build_representatives,
     classify_flat_connected,
     odd_prime_power_multisets,
     predicted_count,
@@ -209,13 +208,11 @@ def _cmd_catalog(args) -> int:
     if args.max < 1:
         raise FormatError("--max must be positive")
     for n in range(1, args.max + 1, 2):
-        reps = build_representatives(n)
         multisets = odd_prime_power_multisets(n)
-        assert len(reps) == len(multisets) == predicted_count(n)
         _emit(
             {
                 "n": n,
-                "count": len(reps),
+                "count": len(multisets),
                 "factors": [list(ms) for ms in multisets],
             }
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Quandle
+from .core import Quandle, _preserves
 from .perms import (
     PermutationGroup,
     compose,
@@ -31,14 +31,7 @@ def is_homomorphism(f, X: Quandle, Y: Quandle) -> bool:
     for v in f:
         if not 0 <= v < Y.n:
             raise ValueError(f"map value {v} out of range 0..{Y.n - 1}")
-    xt, yt = X.table, Y.table
-    for x in range(X.n):
-        fx = f[x]
-        rx = xt[x]
-        for y in range(X.n):
-            if f[rx[y]] != yt[fx][f[y]]:
-                return False
-    return True
+    return _preserves(f, X.table, Y.table)
 
 
 @lru_cache(maxsize=None)

@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import displacement_group
-from .core import Quandle, validate_quandle
-from .isomorphism import is_homomorphism
+from .core import Quandle, _check_shape, _preserves, _product_table
 from .perms import PermutationGroup, compose, inverse, is_perm, orbit
 
 
 class FiniteGroup:
     """A finite group given by its m x m multiplication table.
 
-    The identity and inverse maps are derived on construction; the public
+    The shape goes through the same check as a quandle table, and the
+    identity and inverse maps are derived on construction.  The public
     constructor also checks associativity exhaustively.  Internal builders
     (cyclic, direct, from_permutations) produce tables that are associative
     by construction and skip that pass.
@@ -33,16 +33,8 @@ class FiniteGroup:
     __slots__ = ("order", "mul", "identity", "inv")
 
     def __init__(self, mul, *, _trusted: bool = False):
-        rows = tuple(tuple(row) for row in mul)
+        rows = _check_shape(mul)
         m = len(rows)
-        if m == 0:
-            raise ValueError("empty multiplication table")
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {m}")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < m:
-                    raise ValueError(f"entry [{i}][{j}] = {v!r} out of range 0..{m - 1}")
         identity = None
         for e in range(m):
             if all(rows[e][g] == g and rows[g][e] == g for g in range(m)):
@@ -96,16 +88,7 @@ class FiniteGroup:
     @classmethod
     def direct(cls, G: "FiniteGroup", H: "FiniteGroup") -> "FiniteGroup":
         """Product group on pairs flattened row-major: (a, b) -> a*|H| + b."""
-        m = H.order
-        gm, hm = G.mul, H.mul
-        table = []
-        for a in range(G.order):
-            for b in range(m):
-                ga, hb = gm[a], hm[b]
-                table.append(
-                    tuple(ga[c] * m + hb[d] for c in range(G.order) for d in range(m))
-                )
-        return cls(table, _trusted=True)
+        return cls(_product_table(G.mul, H.mul), _trusted=True)
 
     @classmethod
     def from_permutations(cls, perms) -> "FiniteGroup":
@@ -113,20 +96,25 @@ class FiniteGroup:
 
         The same element set always yields the identical table.
         """
-        elements = sorted(tuple(p) for p in perms)
-        index = {p: i for i, p in enumerate(elements)}
-        if len(index) != len(elements):
-            raise ValueError("duplicate permutations")
-        table = []
-        for p in elements:
-            row = []
-            for q in elements:
-                r = compose(p, q)
-                if r not in index:
-                    raise ValueError("permutation set is not closed under composition")
-                row.append(index[r])
-            table.append(tuple(row))
-        return cls(table, _trusted=True)
+        return _indexed_group(perms)[2]
+
+
+def _indexed_group(perms):
+    """(elements sorted lexicographically, the index of each, their abstract group)."""
+    elements = tuple(sorted(tuple(p) for p in perms))
+    index = {p: i for i, p in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("duplicate permutations")
+    table = []
+    for p in elements:
+        row = []
+        for q in elements:
+            r = compose(p, q)
+            if r not in index:
+                raise ValueError("permutation set is not closed under composition")
+            row.append(index[r])
+        table.append(tuple(row))
+    return elements, index, FiniteGroup(table, _trusted=True)
 
 
 def element_order(G: FiniteGroup, g: int) -> int:
@@ -158,14 +146,7 @@ def is_subgroup(G: FiniteGroup, indices) -> bool:
 
 def is_group_automorphism(G: FiniteGroup, mapping) -> bool:
     m = tuple(mapping)
-    if not is_perm(m, G.order):
-        return False
-    mul = G.mul
-    return all(
-        m[mul[a][b]] == mul[m[a]][m[b]]
-        for a in range(G.order)
-        for b in range(G.order)
-    )
+    return is_perm(m, G.order) and _preserves(m, G.mul, G.mul)
 
 
 def negation_map(G: FiniteGroup) -> tuple[int, ...]:
@@ -251,8 +232,8 @@ def quandle_from_triplet(triplet: QuandleTriplet) -> CosetQuandle:
     """The quandle on G/K with s_[g]([h]) = [g * sigma(g^-1 * h)].
 
     Cosets are labeled by their smallest member and listed in ascending order
-    of that representative.  The output table is re-validated against the
-    axioms rather than trusted.
+    of that representative.  The table satisfies the axioms by construction
+    and is not re-validated.
     """
     G = triplet.group
     mul, inv, sig = G.mul, G.inv, triplet.sigma
@@ -267,9 +248,6 @@ def quandle_from_triplet(triplet: QuandleTriplet) -> CosetQuandle:
     table = [
         [coset_of[mul[g][sig[mul[inv[g]][h]]]] for h in reps] for g in reps
     ]
-    violations = validate_quandle(table)
-    if violations:  # pragma: no cover - labeling bug guard
-        raise RuntimeError(f"coset table violates quandle axioms: {violations[:3]}")
     return CosetQuandle(Quandle(table), tuple(reps))
 
 
@@ -312,15 +290,11 @@ def triplet_from_quandle(
         raise ValueError(f"basepoint {basepoint} out of range")
     xt = X.table
     for p in group.generators:
-        # p . s_x = s_{p(x)} . p says p(s_x(y)) = s_{p(x)}(p(y)) for every y.
-        if any(compose(p, xt[x]) != compose(xt[p[x]], p) for x in range(X.n)):
+        if not _preserves(p, xt, xt):
             raise ValueError(f"group element {p} is not a quandle automorphism")
     sx = xt[basepoint]
     sx_inv = inverse(sx)
-    # Abstract indices follow lexicographic element order, matching
-    # FiniteGroup.from_permutations, so equal groups yield identical tables.
-    elements = tuple(sorted(group.elements))
-    index = {p: i for i, p in enumerate(elements)}
+    elements, index, G = _indexed_group(group.elements)
     sigma = []
     for p in elements:
         conj = compose(sx, compose(p, sx_inv))
@@ -329,7 +303,6 @@ def triplet_from_quandle(
                 "conjugation by the basepoint symmetry does not stabilize the group"
             )
         sigma.append(index[conj])
-    G = FiniteGroup.from_permutations(elements)
     K = tuple(i for i, p in enumerate(elements) if p[basepoint] == basepoint)
     triplet = QuandleTriplet(G, K, tuple(sigma))
     witness = None
@@ -340,8 +313,8 @@ def triplet_from_quandle(
             )
         coset = quandle_from_triplet(triplet)
         witness = tuple(elements[g][basepoint] for g in coset.representatives)
-        if len(set(witness)) != X.n or not is_homomorphism(
-            witness, coset.quandle, X
+        if len(set(witness)) != X.n or not _preserves(
+            witness, coset.quandle.table, X.table
         ):  # pragma: no cover - construction bug guard
             raise RuntimeError("derived coset map failed to be an isomorphism")
     return DerivedTriplet(triplet, elements, basepoint, witness)

@@ -1,9 +1,13 @@
+from itertools import product
+
 import pytest
 
 from conftest import affine5
 from quandles import (
     ClassificationError,
     FiniteGroup,
+    Quandle,
+    TheoremViolationError,
     abelian_invariants,
     build_representatives,
     classify_flat_connected,
@@ -132,6 +136,23 @@ def test_classify_rejects_non_flat():
     with pytest.raises(ClassificationError) as exc:
         classify_flat_connected(affine5())
     assert exc.value.certificate == "not-flat"
+
+
+def test_classify_never_decomposes_an_invalid_table():
+    # Quandle() checks only the shape; the isomorphism witness is what
+    # certifies the axioms, so every shape-valid non-quandle must raise.
+    invalid = 0
+    for n in (2, 3):
+        for flat in product(range(n), repeat=n * n):
+            table = [flat[x * n : (x + 1) * n] for x in range(n)]
+            if not validate_quandle(table):
+                continue
+            invalid += 1
+            with pytest.raises(
+                (ValueError, ClassificationError, TheoremViolationError)
+            ):
+                classify_flat_connected(Quandle(table))
+    assert invalid == 19693
 
 
 def test_classify_round_trip_small():

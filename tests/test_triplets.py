@@ -26,6 +26,7 @@ from quandles import (
     triplet_product,
     triplet_to_obj,
     trivial_quandle,
+    validate_quandle,
     validate_triplet,
 )
 
@@ -65,6 +66,12 @@ def test_finite_group_rejects_non_groups():
         FiniteGroup([[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1]])
+    with pytest.raises(ValueError, match="empty"):
+        FiniteGroup([])
+    with pytest.raises(ValueError, match="out of range"):
+        FiniteGroup([[0, 2], [1, 0]])
+    with pytest.raises(ValueError, match="not an integer"):
+        FiniteGroup([[0, True], [True, 0]])
 
 
 def test_direct_group_product():
@@ -121,11 +128,13 @@ def test_coset_quandle_is_dihedral():
     for n in range(1, 13):
         coset = quandle_from_triplet(abelian_negation_triplet([n]))
         assert coset.quandle.n == n
+        assert validate_quandle(coset.quandle.table) == []
         assert find_isomorphism(coset.quandle, dihedral_quandle(n)) is not None
 
 
 def test_coset_quandle_product_of_cyclics():
     coset = quandle_from_triplet(abelian_negation_triplet([3, 5]))
+    assert validate_quandle(coset.quandle.table) == []
     target = direct_product(dihedral_quandle(3), dihedral_quandle(5))
     assert find_isomorphism(coset.quandle, target) is not None
     assert find_isomorphism(coset.quandle, dihedral_quandle(15)) is not None
@@ -144,11 +153,14 @@ def test_coset_quandles_are_homogeneous():
         abelian_negation_triplet([4]),
         abelian_negation_triplet([2, 3]),
         QuandleTriplet(s3_group(), (0,), tuple(range(6))),
+        # Dis(affine5) is non-abelian of order 10 with a stabilizer of order 2.
+        triplet_from_quandle(affine5()).triplet,
     ]
     for T in triplets:
         X = quandle_from_triplet(T).quandle
         from quandles import is_homogeneous
 
+        assert validate_quandle(X.table) == []
         assert is_homogeneous(X)
 
 
@@ -157,6 +169,7 @@ def test_coset_representatives_are_minimal_and_sorted():
     T = QuandleTriplet(Z6, (0, 3), negation_map(Z6))
     coset = quandle_from_triplet(T)
     assert coset.representatives == (0, 1, 2)
+    assert validate_quandle(coset.quandle.table) == []
 
 
 def test_involutive_sigma_gives_involutive_quandle():
@@ -256,6 +269,7 @@ def test_round_trip_through_triplet():
     for X, group in cases:
         d = triplet_from_quandle(X, 0, group)
         coset = quandle_from_triplet(d.triplet)
+        assert validate_quandle(coset.quandle.table) == []
         assert find_isomorphism(coset.quandle, X) is not None
 
 
