@@ -21,12 +21,18 @@ def inner_group(X: Quandle) -> PermutationGroup:
     return closure(X.table)
 
 
+def _displacement_generators(X: Quandle) -> list:
+    """The n products s_x . s_0, which generate every s_x . s_y:
+    s_x . s_y = (s_x . s_0)(s_0 . s_0)^-1 (s_{s_0(y)} . s_0)."""
+    s0 = X.table[0]
+    return [compose(rx, s0) for rx in X.table]
+
+
 @lru_cache(maxsize=None)
 def displacement_group(X: Quandle) -> PermutationGroup:
-    """Group generated by all compositions s_x . s_y, closed from the n products
-    s_x . s_0: s_x . s_y = (s_x . s_0)(s_0 . s_0)^-1 (s_{s_0(y)} . s_0)."""
-    s0 = X.table[0]
-    return closure(compose(rx, s0) for rx in X.table)
+    """Group generated by all compositions s_x . s_y, closed with no cap from
+    `_displacement_generators`; `classify` closes the same generators capped at n."""
+    return closure(_displacement_generators(X))
 
 
 def is_connected(X: Quandle) -> bool:

@@ -2,10 +2,11 @@
 
 Such a quandle is isomorphic to a direct product of dihedral quandles whose
 sizes are odd prime powers, namely the primary decomposition of its (abelian)
-displacement group.  `classify_flat_connected` certifies the hypotheses, reads
-the factors off the displacement group, and produces an explicit isomorphism
-onto the predicted product; `predicted_count` and `build_representatives`
-enumerate the possible factorizations per order.
+displacement group.  `classify_flat_connected` closes that group with a cap of
+n elements, reads the factors off its element orders, and produces an explicit
+isomorphism onto the predicted product, the one certificate of the result;
+`predicted_count` and `build_representatives` enumerate the possible
+factorizations per order.
 """
 
 from __future__ import annotations
@@ -14,16 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .analysis import displacement_group, is_connected, is_flat
+from .analysis import _displacement_generators, is_connected
 from .core import Quandle, dihedral_quandle, direct_product, trivial_quandle
 from .isomorphism import find_isomorphism
-from .triplets import (
-    FiniteGroup,
-    element_order,
-    fix_set,
-    is_abelian_group,
-    triplet_from_quandle,
-)
+from .perms import ClosureLimitError, closure, is_abelian, perm_order
+from .triplets import FiniteGroup, element_order, is_abelian_group
 
 
 class ClassificationError(Exception):
@@ -35,12 +31,13 @@ class ClassificationError(Exception):
 
 
 class TheoremViolationError(RuntimeError):
-    """A certified flat connected quandle failed to decompose.
+    """No isomorphism witness onto the dihedral product read off Dis.
 
-    For a quandle this cannot happen with a correct implementation.  It is
-    also how a table that breaks the axioms can fail, since `Quandle` checks
-    only the shape and no isomorphism witness exists for it.  The message
-    carries the offending table so the failure can be reproduced.
+    Raised only where `find_isomorphism` returns None.  For a flat connected
+    quandle this cannot happen with a correct implementation.  It is also how
+    a table that breaks the axioms can fail, since `Quandle` checks only the
+    shape and no isomorphism witness exists for it.  The message carries the
+    offending table so the failure can be reproduced.
     """
 
 
@@ -144,19 +141,16 @@ def build_representatives(n: int) -> list[Quandle]:
     return [_dihedral_product(ms) for ms in odd_prime_power_multisets(n)]
 
 
-def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
-    """Primary decomposition of an abelian group, as descending prime powers.
+def _primary_factors(orders) -> tuple[int, ...]:
+    """Primary decomposition of an abelian group, as descending prime powers,
+    from the orders of all its elements.
 
-    Recovered from order statistics: for each prime p, counting the solutions
-    of g^(p^k) = e determines how many cyclic factors of each p-power order
-    occur.
+    For each prime p, counting the elements whose order divides p^k
+    determines how many cyclic factors of each p-power order occur.
     """
-    if not is_abelian_group(G):
-        raise ValueError("group is not abelian")
-    m = G.order
+    m = len(orders)
     if m == 1:
         return ()
-    orders = [element_order(G, g) for g in range(m)]
     invariants = []
     for p, a in sorted(_factorize(m).items()):
         # exponent_counts[k] = log_p #{g : g^(p^k) = e}; strictly increasing
@@ -190,48 +184,38 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     return result
 
 
+def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
+    """Primary decomposition of an abelian group, as descending prime powers."""
+    if not is_abelian_group(G):
+        raise ValueError("group is not abelian")
+    return _primary_factors([element_order(G, g) for g in range(G.order)])
+
+
 def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     """Decompose a flat connected quandle into odd-prime-power dihedral factors.
 
     X must be a quandle; raw tables are validated by `as_quandle` or
     `load_quandle`.  Connectivity and flatness are verified, not assumed: a
     disconnected or non-flat quandle is an error naming the failed
-    certificate.  The derived displacement-group triplet is also checked
-    against the structure theory (trivial stabilizer, inversion automorphism)
-    before the factors are extracted, and the final isomorphism witness must
-    exist.  The witness satisfies the homomorphism equation on all n^2 pairs
-    onto a dihedral product, so it also certifies that X satisfies the axioms:
-    a table that breaks them raises ValueError, ClassificationError or
-    TheoremViolationError and is never decomposed, though it may first close
-    a displacement group of up to n! elements.
+    certificate.  Dis is closed with a cap of n elements: for a connected
+    quandle it is transitive, and a transitive abelian permutation group is
+    regular, so a flat one has exactly n elements and a larger one is not
+    flat.  The factors are the primary decomposition of Dis, read off its
+    element orders.  The isomorphism witness onto their dihedral product is
+    the one certificate: it satisfies the homomorphism equation on all n^2
+    pairs, so it also certifies that X satisfies the axioms and that the
+    factors are right.  A table that breaks the axioms raises ValueError,
+    ClassificationError or TheoremViolationError and is never decomposed.
     """
     if not is_connected(X):
         raise ClassificationError("not-connected", f"order-{X.n} quandle is disconnected")
-    if not is_flat(X):
+    try:
+        dis = closure(_displacement_generators(X), cap=X.n)
+    except ClosureLimitError:
+        dis = None
+    if dis is None or not is_abelian(dis):
         raise ClassificationError("not-flat", f"order-{X.n} quandle has a non-commutative displacement group")
-    derived = triplet_from_quandle(X, 0, displacement_group(X), with_witness=False)
-    triplet = derived.triplet
-    G = triplet.group
-    if not is_abelian_group(G):  # pragma: no cover - excluded by is_flat
-        raise TheoremViolationError(f"flat quandle with non-abelian displacement group: {X.table}")
-    if len(triplet.subgroup) != 1:
-        raise TheoremViolationError(
-            f"connected flat quandle with non-trivial basepoint stabilizer: {X.table}"
-        )
-    if any(triplet.sigma[g] != G.inv[g] for g in range(G.order)):
-        raise TheoremViolationError(
-            f"derived automorphism is not inversion: {X.table}"
-        )
-    if fix_set(triplet.sigma, G) != (G.identity,):
-        raise TheoremViolationError(
-            f"derived automorphism fixes more than the identity: {X.table}"
-        )
-    factors = abelian_invariants(G)
-    if any(q % 2 == 0 for q in factors):
-        raise TheoremViolationError(
-            f"even factor in the displacement group of a flat connected quandle "
-            f"(factors {factors}): {X.table}"
-        )
+    factors = _primary_factors([perm_order(g) for g in dis])
     witness = find_isomorphism(X, _dihedral_product(factors))
     if witness is None:
         raise TheoremViolationError(

@@ -34,6 +34,7 @@ from .enumeration import (
     enumerate_flat_connected_classes,
     enumerate_quandles,
 )
+from .isomorphism import find_isomorphism
 from .triplets import (
     fix_set,
     is_abelian_group,
@@ -111,8 +112,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    from .isomorphism import find_isomorphism
-
     X = load_quandle(args.left)
     Y = load_quandle(args.right)
     witness = find_isomorphism(X, Y)

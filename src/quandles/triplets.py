@@ -171,9 +171,9 @@ def validate_triplet(G: FiniteGroup, subgroup, sigma) -> list[TripletViolation]:
     """Axiom-level verdict for (G, K, sigma); structural nonsense raises instead."""
     K = tuple(subgroup)
     sig = tuple(sigma)
-    if len(set(K)) != len(K) or not all(
+    if not all(
         isinstance(k, int) and 0 <= k < G.order for k in K
-    ):
+    ) or len(set(K)) != len(K):
         raise ValueError("subgroup must be a set of element indices")
     if len(sig) != G.order or not all(
         isinstance(v, int) and 0 <= v < G.order for v in sig
@@ -208,11 +208,12 @@ class QuandleTriplet:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "subgroup", tuple(sorted(self.subgroup)))
-        object.__setattr__(self, "sigma", tuple(self.sigma))
+        # Validate first: sorting would raise TypeError on mixed entries.
         violations = validate_triplet(self.group, self.subgroup, self.sigma)
         if violations:
             raise InvalidTripletError(violations)
+        object.__setattr__(self, "subgroup", tuple(sorted(self.subgroup)))
+        object.__setattr__(self, "sigma", tuple(self.sigma))
 
 
 def abelian_negation_triplet(factors) -> QuandleTriplet:
@@ -387,10 +388,13 @@ def parse_triplet(obj) -> QuandleTriplet:
     for key in ("mul", "K", "sigma"):
         if key not in obj:
             raise ValueError(f"missing key {key!r}")
-    G = FiniteGroup(obj["mul"])
+    mul = obj["mul"]
+    if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
+        raise ValueError("'mul' must be a list of lists")
+    for key in ("K", "sigma"):
+        if not isinstance(obj[key], list):
+            raise ValueError(f"{key!r} must be a list")
+    G = FiniteGroup(mul)
     if "order" in obj and obj["order"] != G.order:
         raise ValueError(f"'order' is {obj['order']} but table has {G.order} rows")
-    violations = validate_triplet(G, obj["K"], obj["sigma"])
-    if violations:
-        raise InvalidTripletError(violations)
     return QuandleTriplet(G, tuple(obj["K"]), tuple(obj["sigma"]))

@@ -1,6 +1,6 @@
 """Shared constructions for the test suite."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from quandles import Quandle, dihedral_quandle, direct_product, trivial_quandle
 
@@ -15,6 +15,22 @@ def affine_quandle(n: int, t: int) -> Quandle:
 def affine5() -> Quandle:
     """The order-5 quandle s_x(y) = -x + 2y: connected but not flat."""
     return affine_quandle(5, 2)
+
+
+def transposition_quandle(m: int) -> Quandle:
+    """The transpositions of S_m with s_a(b) = a b a^-1.
+
+    Connected for m >= 2; for m >= 4 not flat, with displacement group far
+    larger than the order m(m-1)/2.
+    """
+    elements = list(combinations(range(m), 2))
+    index = {t: i for i, t in enumerate(elements)}
+
+    def conjugate(a, b):
+        swap = {a[0]: a[1], a[1]: a[0]}
+        return index[tuple(sorted(swap.get(v, v) for v in b))]
+
+    return Quandle([[conjugate(a, b) for b in elements] for a in elements])
 
 
 def pinned_point_quandle() -> Quandle:

@@ -1,8 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
-from conftest import affine5
+from conftest import affine5, transposition_quandle
 from quandles import (
     ClassificationError,
     FiniteGroup,
@@ -136,6 +137,14 @@ def test_classify_rejects_non_flat():
     with pytest.raises(ClassificationError) as exc:
         classify_flat_connected(affine5())
     assert exc.value.certificate == "not-flat"
+    # Connected, with a displacement group of up to 10!/2 elements: the
+    # closure stops at the cap of n elements instead of enumerating it.
+    for m in range(4, 11):
+        X = transposition_quandle(m)
+        assert validate_quandle(X.table) == []
+        with pytest.raises(ClassificationError) as exc:
+            classify_flat_connected(X)
+        assert exc.value.certificate == "not-flat"
 
 
 def test_classify_never_decomposes_an_invalid_table():
@@ -153,6 +162,25 @@ def test_classify_never_decomposes_an_invalid_table():
             ):
                 classify_flat_connected(Quandle(table))
     assert invalid == 19693
+    # One or two swaps within a row of a flat connected quandle, off the
+    # diagonal: rows stay permutations and s_x(x) = x still holds.
+    rng = random.Random(0)
+    perturbed = 0
+    bases = [dihedral_quandle(q).table for q in (3, 5, 7, 9)]
+    bases.append(direct_product(dihedral_quandle(3), dihedral_quandle(3)).table)
+    for _ in range(300):
+        table = [list(row) for row in rng.choice(bases)]
+        n = len(table)
+        for _ in range(rng.randint(1, 2)):
+            x = rng.randrange(n)
+            y, z = rng.sample([v for v in range(n) if v != x], 2)
+            table[x][y], table[x][z] = table[x][z], table[x][y]
+        if not validate_quandle(table):
+            continue
+        perturbed += 1
+        with pytest.raises((ValueError, ClassificationError, TheoremViolationError)):
+            classify_flat_connected(Quandle(table))
+    assert perturbed == 260
 
 
 def test_classify_round_trip_small():

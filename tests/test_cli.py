@@ -44,6 +44,12 @@ def test_make_from_triplet(capsys, tmp_path):
     assert obj["n"] == 5
 
 
+def test_make_from_malformed_triplet(capsys, tmp_path):
+    path = write(tmp_path, "t.json", '{"mul":[[0]],"K":5,"sigma":[0]}')
+    code, out, err = run(capsys, ["make", "from-triplet", path])
+    assert code == 2 and out == "" and "'K' must be a list" in err
+
+
 def test_make_usage_errors(capsys):
     code, _, err = run(capsys, ["make", "dihedral"])
     assert code == 2 and "error" in err

@@ -409,3 +409,12 @@ def test_parse_triplet_errors():
                 "sigma": list(negation_map(FiniteGroup.cyclic(5))),
             }
         )
+    with pytest.raises(ValueError, match="'K' must be a list"):
+        parse_triplet({"mul": [[0]], "K": 5, "sigma": [0]})
+    with pytest.raises(ValueError, match="'sigma' must be a list"):
+        parse_triplet({"mul": [[0]], "K": [0], "sigma": 7})
+    with pytest.raises(ValueError, match="'mul' must be a list of lists"):
+        parse_triplet({"mul": 5, "K": [0], "sigma": [0]})
+    for K in ([[0]], [0, "a"]):
+        with pytest.raises(ValueError, match="subgroup must be a set"):
+            parse_triplet({"mul": [[0, 1], [1, 0]], "K": K, "sigma": [0, 1]})
