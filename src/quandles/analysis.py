@@ -70,13 +70,15 @@ def is_homogeneous(X: Quandle) -> bool:
 
 
 def analyze(X: Quandle) -> dict:
-    """Full predicate report, in the shape used by the CLI."""
+    """Full predicate report, in the shape used by the CLI; Inn is never closed."""
+    dis = displacement_group(X)
     return {
         "n": X.n,
         "connected": is_connected(X),
         "flat": is_flat(X),
         "involutive": is_involutive(X),
         "homogeneous": is_homogeneous(X),
-        "inn_order": len(inner_group(X)),
-        "dis_order": len(displacement_group(X)),
+        # Inn = Dis u s_0 Dis: each s_x = (s_x . s_0) s_0^-1, and s_0^2 is in Dis.
+        "inn_order": len(dis) * (1 if X.table[0] in dis else 2),
+        "dis_order": len(dis),
     }

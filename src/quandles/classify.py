@@ -11,9 +11,9 @@ factorizations per order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
+from typing import NamedTuple
 
 from .analysis import _displacement_generators, is_connected
 from .core import Quandle, dihedral_quandle, direct_product, trivial_quandle
@@ -41,8 +41,7 @@ class TheoremViolationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class FlatDecomposition:
+class FlatDecomposition(NamedTuple):
     """Odd prime-power factors and a bijection onto the dihedral product."""
 
     factors: tuple[int, ...]

@@ -1,11 +1,9 @@
 """Quandle homomorphisms, isomorphism search, and automorphism groups.
 
-The search is plain backtracking over partial bijections, assigning points in
-index order with candidates in ascending order, so results are deterministic.
-Forward checking uses the homomorphism equation on every pair whose image is
-already pinned down.  Before searching, elements are bucketed by cheap
-isomorphism invariants; a mismatch anywhere settles the question without
-search.  Invariants only ever prune, never decide a positive.
+The search backtracks over partial bijections in generation order: every point
+but a few starts is s_a(b) of two earlier ones, so only the starts branch, over
+candidates in ascending order, and results are deterministic.  A per-point
+profile prunes the candidates; it never decides a positive.
 """
 
 from __future__ import annotations
@@ -14,12 +12,7 @@ from functools import lru_cache
 
 from .core import Quandle, _preserves
 from .perms import (
-    PermutationGroup,
-    compose,
-    cycle_lengths,
-    identity_perm,
-    orbit,
-    perm_order,
+    PermutationGroup, compose, cycle_lengths, identity_perm, inverse, orbit, perm_order
 )
 
 
@@ -36,39 +29,48 @@ def is_homomorphism(f, X: Quandle, Y: Quandle) -> bool:
 
 @lru_cache(maxsize=None)
 def _point_profiles(X: Quandle) -> tuple:
-    """Per-point invariant vector: (row cycle type, fixer count, inner orbit size).
+    """Per-point invariant: (inner orbit size, cycle type of s_y, number of x
+    with s_x(y) = y, sorted orders of s_x . s_y over all x).
 
-    Any isomorphism must match points with equal vectors.
-    """
-    n = X.n
-    rows = X.table
-    fixers = [0] * n
-    for y in range(n):
-        ry = rows[y]
-        for x in range(n):
-            if ry[x] == x:
-                fixers[x] += 1
-    orbit_size = [0] * n
-    for x in range(n):
-        if orbit_size[x] == 0:
-            orb = orbit(rows, x)
-            for p in orb:
-                orbit_size[p] = len(orb)
-    return tuple(
-        (cycle_lengths(rows[x]), fixers[x], orbit_size[x]) for x in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
-def _displacement_order_multiset(X: Quandle) -> tuple[int, ...]:
-    """Sorted orders of all row compositions s_x . s_y.
-
-    An isomorphism conjugates the compositions of X onto those of Y, so this
-    multiset is invariant.  It separates, e.g., products of dihedral quandles
-    whose translation subgroups have different abelian types.
+    Isomorphisms match points with equal profiles.  A row g is an automorphism:
+    s_g(y) = g s_y g^-1, s_g(x)(g(y)) = g(s_x(y)) and s_g(x) . s_g(y) =
+    g (s_x . s_y) g^-1, so a profile is constant on an inner orbit and is
+    computed once per orbit, in n compositions.
     """
     rows = X.table
-    return tuple(sorted(perm_order(compose(rx, ry)) for rx in rows for ry in rows))
+    profiles = [None] * X.n
+    for y, ry in enumerate(rows):
+        if profiles[y] is None:
+            orb = orbit(rows, y)
+            profile = (
+                len(orb),
+                cycle_lengths(ry),
+                sum(r[y] == y for r in rows),
+                tuple(sorted(perm_order(compose(rx, ry)) for rx in rows)),
+            )
+            for z in orb:
+                profiles[z] = profile
+    return tuple(profiles)
+
+
+def _generation_order(X: Quandle) -> list[int]:
+    """The points of X from 0: after each point p, the unseen s_p(q) and
+    s_q(p) for q up to p; once the points so far are closed, the smallest
+    point not yet reached starts the next run.  Those starts generate X."""
+    rows = X.table
+    order = [0]
+    seen = [True] + [False] * (X.n - 1)
+    for k, p in enumerate(order):  # grows while it is read
+        for q in order[: k + 1]:
+            for r in (rows[p][q], rows[q][p]):
+                if not seen[r]:
+                    seen[r] = True
+                    order.append(r)
+        if k + 1 == len(order) < X.n:
+            start = seen.index(False)
+            seen[start] = True
+            order.append(start)
+    return order
 
 
 def _search(
@@ -76,62 +78,56 @@ def _search(
 ) -> list[tuple[int, ...]]:
     """Isomorphisms X -> Y: the first one, or all with `find_all`.
 
-    `image_of_0`, when given, restricts the search to maps sending 0 there.
+    Runs on X relabelled by generation order.  A start tries the points of Y
+    with its profile; any other point t is s_a(b) with a, b < t, pinned to
+    s_f(a)(f(b)).  Each pair (a, b) is checked once, at the last of a, b and
+    s_a(b), pinning pairs first.  `image_of_0` restricts f(0).
     """
     n = X.n
-    px = _point_profiles(X)
-    py = _point_profiles(Y)
+    px, py = _point_profiles(X), _point_profiles(Y)
     if sorted(px) != sorted(py):
         return []
-    if _displacement_order_multiset(X) != _displacement_order_multiset(Y):
-        return []
-    candidates = [[y for y in range(n) if py[y] == px[x]] for x in range(n)]
+    order = _generation_order(X)
+    place = inverse(order)
+    xt = [[place[X.table[x][y]] for y in order] for x in order]
+    yt = Y.table
+    checks = [[] for _ in range(n)]
+    pin = [None] * n
+    for a in range(n):
+        for b, t in enumerate(xt[a]):
+            if a < t > b:
+                pin[t] = (a, b)
+                checks[t].insert(0, (a, b, t))
+            else:
+                checks[max(a, b)].append((a, b, t))
+    candidates = [
+        [y for y in range(n) if py[y] == px[x]] if pin[k] is None else None
+        for k, x in enumerate(order)
+    ]
     if image_of_0 is not None:
         candidates[0] = [y for y in candidates[0] if y == image_of_0]
-    # Pairs (a, b) with both points assigned strictly before their table value:
-    # once position t is being assigned, these pin its image.
-    preimage = [[] for _ in range(n)]
-    xt, yt = X.table, Y.table
-    for a in range(n):
-        row = xt[a]
-        for b in range(n):
-            t = row[b]
-            if a < t and b < t:
-                preimage[t].append((a, b))
-    f = [-1] * n
-    used = [False] * n
+    f, used = [-1] * n, [False] * n
     found: list[tuple[int, ...]] = []
 
     def assign(k: int) -> bool:
         if k == n:
-            found.append(tuple(f))
+            found.append(tuple(f[p] for p in place))
             return not find_all
-        for c in candidates[k]:
+        pair = pin[k]
+        options = candidates[k] if pair is None else (yt[f[pair[0]]][f[pair[1]]],)
+        for c in options:
             if used[c]:
                 continue
-            ok = True
-            for a, b in preimage[k]:
-                if yt[f[a]][f[b]] != c:
-                    ok = False
+            f[k] = c
+            for a, b, t in checks[k]:
+                if yt[f[a]][f[b]] != f[t]:
                     break
-            if ok:
-                f[k] = c
-                for a in range(k + 1):
-                    fa = f[a]
-                    t = xt[a][k]
-                    if t <= k and yt[fa][c] != f[t]:
-                        ok = False
-                        break
-                    t = xt[k][a]
-                    if t <= k and yt[c][fa] != f[t]:
-                        ok = False
-                        break
-            if ok:
+            else:
                 used[c] = True
                 if assign(k + 1):
                     return True
                 used[c] = False
-            f[k] = -1
+        f[k] = -1
         return False
 
     assign(0)

@@ -12,7 +12,6 @@ the symmetry there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import displacement_group
@@ -199,21 +198,23 @@ class InvalidTripletError(ValueError):
         super().__init__(f"not a quandle triplet: {detail}")
 
 
-@dataclass(frozen=True)
-class QuandleTriplet:
-    """A validated (G, K, sigma); constructing one re-checks the axioms."""
-
+class _Triplet(NamedTuple):
     group: FiniteGroup
     subgroup: tuple[int, ...]
     sigma: tuple[int, ...]
 
-    def __post_init__(self):
+
+class QuandleTriplet(_Triplet):
+    """A validated (G, K, sigma); constructing one re-checks the axioms."""
+
+    __slots__ = ()
+
+    def __new__(cls, group, subgroup, sigma):
         # Validate first: sorting would raise TypeError on mixed entries.
-        violations = validate_triplet(self.group, self.subgroup, self.sigma)
+        violations = validate_triplet(group, subgroup, sigma)
         if violations:
             raise InvalidTripletError(violations)
-        object.__setattr__(self, "subgroup", tuple(sorted(self.subgroup)))
-        object.__setattr__(self, "sigma", tuple(self.sigma))
+        return super().__new__(cls, group, tuple(sorted(subgroup)), tuple(sigma))
 
 
 def abelian_negation_triplet(factors) -> QuandleTriplet:
@@ -252,8 +253,7 @@ def quandle_from_triplet(triplet: QuandleTriplet) -> CosetQuandle:
     return CosetQuandle(Quandle(table), tuple(reps))
 
 
-@dataclass(frozen=True)
-class DerivedTriplet:
+class DerivedTriplet(NamedTuple):
     """Triplet extracted from a quandle and a group of its automorphisms.
 
     `elements` lists the permutations in abstract-index order; `witness`, when

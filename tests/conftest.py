@@ -42,6 +42,17 @@ def pinned_point_quandle() -> Quandle:
     return Quandle([[0, 2, 1, 3], [2, 1, 0, 3], [1, 0, 2, 3], [0, 1, 2, 3]])
 
 
+def relabeled(X: Quandle, rng) -> Quandle:
+    """X with its points renamed by a permutation shuffled from `rng`."""
+    relabel = list(range(X.n))
+    rng.shuffle(relabel)
+    table = [[0] * X.n for _ in range(X.n)]
+    for x in range(X.n):
+        for y in range(X.n):
+            table[relabel[x]][relabel[y]] = relabel[X.table[x][y]]
+    return Quandle(table)
+
+
 def brute_force_automorphisms(X: Quandle) -> list[tuple[int, ...]]:
     """All automorphisms by scanning every one of the n! bijections."""
     n, t = X.n, X.table

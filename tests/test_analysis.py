@@ -1,4 +1,10 @@
-from conftest import affine5, affine_quandle, pinned_point_quandle, small_corpus
+from conftest import (
+    affine5,
+    affine_quandle,
+    pinned_point_quandle,
+    small_corpus,
+    transposition_quandle,
+)
 from quandles import (
     analyze,
     automorphism_group,
@@ -212,3 +218,8 @@ def test_analyze_report():
     }
     report = analyze(affine5())
     assert report["connected"] and not report["flat"] and not report["involutive"]
+    # inn_order is read off Dis; the closed inner group is the oracle.
+    others = [transposition_quandle(m) for m in range(2, 7)]
+    others += [affine_quandle(p, t) for p in (5, 7, 11, 13) for t in range(2, p)]
+    for X in small_corpus() + others:
+        assert analyze(X)["inn_order"] == len(inner_group(X))

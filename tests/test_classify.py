@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import affine5, transposition_quandle
+from conftest import affine5, relabeled, transposition_quandle
 from quandles import (
     ClassificationError,
     FiniteGroup,
@@ -121,6 +121,15 @@ def test_classify_relabeled_coset_quandles():
 
     for factors in ([9], [3, 3], [5, 3]):
         X = quandle_from_triplet(abelian_negation_triplet(factors)).quandle
+        assert classify_flat_connected(X).factors == tuple(
+            sorted(factors, reverse=True)
+        )
+    # Seeded relabellings up to order 105: the witness search must not
+    # depend on the labels.
+    rng = random.Random(0)
+    for factors in ([3, 3, 3, 3], [9, 9], [81], [7, 5, 3]):
+        coset = quandle_from_triplet(abelian_negation_triplet(factors)).quandle
+        X = relabeled(coset, rng)
         assert classify_flat_connected(X).factors == tuple(
             sorted(factors, reverse=True)
         )

@@ -1,6 +1,15 @@
+from functools import reduce
+
 import pytest
 
-from conftest import affine5, brute_force_automorphisms, small_corpus
+from conftest import (
+    affine5,
+    affine_quandle,
+    brute_force_automorphisms,
+    relabeled,
+    small_corpus,
+    transposition_quandle,
+)
 from quandles import (
     analyze,
     automorphism_group,
@@ -125,21 +134,20 @@ def test_random_relabelings_are_always_found():
     # A false negative here would mean the pruning invariants are unsound.
     import random
 
-    from quandles import Quandle
-
     rng = random.Random(20240811)
-    for X in small_corpus():
-        for _ in range(3):
-            relabel = list(range(X.n))
-            rng.shuffle(relabel)
-            table = [[0] * X.n for _ in range(X.n)]
-            for x in range(X.n):
-                for y in range(X.n):
-                    table[relabel[x]][relabel[y]] = relabel[X.table[x][y]]
-            Y = Quandle(table)
-            w = find_isomorphism(X, Y)
-            assert w is not None
-            assert is_homomorphism(w, X, Y)
+    cases = [X for X in small_corpus() for _ in range(3)]
+    # Orders 81 to 105, whose search must not depend on the labelling, and
+    # two connected quandles that are not flat.
+    cases += [
+        reduce(direct_product, map(dihedral_quandle, factors))
+        for factors in ((3, 3, 3, 3), (9, 9), (81,), (7, 5, 3))
+    ]
+    cases += [transposition_quandle(7), affine_quandle(41, 6)]
+    for X in cases:
+        Y = relabeled(X, rng)
+        w = find_isomorphism(X, Y)
+        assert w is not None
+        assert is_homomorphism(w, X, Y)
 
 
 def test_isomorphism_invariance_of_analysis():
