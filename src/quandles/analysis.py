@@ -3,19 +3,21 @@
 inner_group is generated by the rows; displacement_group by all row pairs
 s_x . s_y.  Each predicate reads the cheapest structure that decides it:
 connectivity the orbit of the rows, flatness commuting generators, and
-homogeneity one automorphism search per point that orbit misses.
+homogeneity one automorphism search from 0 into the inner orbits it misses.
+Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import combinations
 
 from .core import Quandle
 from .isomorphism import _search
-from .perms import PermutationGroup, closure, compose, identity_perm, is_abelian, orbit
+from .perms import (
+    ClosureLimitError, PermutationGroup, closure, compose, identity_perm, is_abelian, orbit
+)
 
 
-@lru_cache(maxsize=None)
 def inner_group(X: Quandle) -> PermutationGroup:
     """Group generated by the symmetries s_x (the rows of the table)."""
     return closure(X.table)
@@ -28,11 +30,19 @@ def _displacement_generators(X: Quandle) -> list:
     return [compose(rx, s0) for rx in X.table]
 
 
-@lru_cache(maxsize=None)
 def displacement_group(X: Quandle) -> PermutationGroup:
-    """Group generated by all compositions s_x . s_y, closed with no cap from
-    `_displacement_generators`; `classify` closes the same generators capped at n."""
+    """Group generated by all compositions s_x . s_y, closed from `_displacement_generators`."""
     return closure(_displacement_generators(X))
+
+
+def _flat_connected_dis(X: Quandle) -> PermutationGroup | None:
+    """Dis of a connected X if it is commutative, else None.  That Dis is
+    transitive, and a transitive abelian group is regular: n elements, the cap."""
+    try:
+        dis = closure(_displacement_generators(X), cap=X.n)
+    except ClosureLimitError:
+        return None
+    return dis if is_abelian(dis) else None
 
 
 def is_connected(X: Quandle) -> bool:
@@ -41,8 +51,12 @@ def is_connected(X: Quandle) -> bool:
 
 
 def is_flat(X: Quandle) -> bool:
-    """True iff the displacement group is commutative."""
-    return is_abelian(displacement_group(X))
+    """True iff the displacement group is commutative: closed with a cap of n
+    if X is connected, else by its n generators s_x . s_0 commuting pairwise."""
+    if is_connected(X):
+        return _flat_connected_dis(X) is not None
+    gens = set(_displacement_generators(X))
+    return all(compose(g, h) == compose(h, g) for g, h in combinations(gens, 2))
 
 
 def is_involutive(X: Quandle) -> bool:
@@ -54,19 +68,16 @@ def is_involutive(X: Quandle) -> bool:
 def is_homogeneous(X: Quandle) -> bool:
     """True iff the automorphism group acts transitively.
 
-    The rows are automorphisms, so connected quandles pass at once.  Else the
-    orbit of 0 grows by one search per point not yet reached; Aut is never built.
+    The rows are automorphisms, so Aut covers an inner orbit once it reaches
+    one of its points.  One search asks for an automorphism taking 0 to one
+    point of each inner orbit the orbit of 0 misses; Aut is never built.
     """
-    found = list(X.table)
-    reached = orbit(found, 0)
-    for target in range(X.n):
-        if target not in reached:
-            f = _search(X, X, find_all=False, image_of_0=target)
-            if not f:
-                return False
-            found += f
-            reached = orbit(found, 0)
-    return True
+    reached, targets = orbit(X.table, 0), []
+    for y in range(X.n):
+        if y not in reached:
+            targets.append(y)
+            reached |= orbit(X.table, y)
+    return not targets or len(_search(X, X, find_all=False, images_of_0=targets)) == len(targets)
 
 
 def analyze(X: Quandle) -> dict:
@@ -75,7 +86,7 @@ def analyze(X: Quandle) -> dict:
     return {
         "n": X.n,
         "connected": is_connected(X),
-        "flat": is_flat(X),
+        "flat": is_abelian(dis),
         "involutive": is_involutive(X),
         "homogeneous": is_homogeneous(X),
         # Inn = Dis u s_0 Dis: each s_x = (s_x . s_0) s_0^-1, and s_0^2 is in Dis.

@@ -2,23 +2,22 @@
 
 Such a quandle is isomorphic to a direct product of dihedral quandles whose
 sizes are odd prime powers, namely the primary decomposition of its (abelian)
-displacement group.  `classify_flat_connected` closes that group with a cap of
-n elements, reads the factors off its element orders, and produces an explicit
-isomorphism onto the predicted product, the one certificate of the result;
-`predicted_count` and `build_representatives` enumerate the possible
-factorizations per order.
+displacement group.  `classify_flat_connected` gets that group from the
+flatness check in `analysis`, reads the factors off its element orders, and
+certifies them by an isomorphism onto the predicted product; `predicted_count`
+and `build_representatives` enumerate the factorizations per order.  Nothing
+is cached between calls.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .analysis import _displacement_generators, is_connected
+from .analysis import _flat_connected_dis, is_connected
 from .core import Quandle, dihedral_quandle, direct_product, trivial_quandle
 from .isomorphism import find_isomorphism
-from .perms import ClosureLimitError, closure, is_abelian, perm_order
+from .perms import perm_order
 from .triplets import FiniteGroup, element_order, is_abelian_group
 
 
@@ -48,7 +47,6 @@ class FlatDecomposition(NamedTuple):
     witness: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def _partition_count(k: int) -> int:
     """Number of integer partitions of k."""
     counts = [1] + [0] * k
@@ -196,23 +194,19 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     X must be a quandle; raw tables are validated by `as_quandle` or
     `load_quandle`.  Connectivity and flatness are verified, not assumed: a
     disconnected or non-flat quandle is an error naming the failed
-    certificate.  Dis is closed with a cap of n elements: for a connected
-    quandle it is transitive, and a transitive abelian permutation group is
-    regular, so a flat one has exactly n elements and a larger one is not
-    flat.  The factors are the primary decomposition of Dis, read off its
-    element orders.  The isomorphism witness onto their dihedral product is
-    the one certificate: it satisfies the homomorphism equation on all n^2
-    pairs, so it also certifies that X satisfies the axioms and that the
-    factors are right.  A table that breaks the axioms raises ValueError,
-    ClassificationError or TheoremViolationError and is never decomposed.
+    certificate.  Flatness comes from `_flat_connected_dis`, which closes Dis
+    with a cap of n elements, the order of a flat one; the factors are the
+    primary decomposition of that Dis, read off its element orders.  The
+    isomorphism witness onto their dihedral product is the one certificate:
+    it satisfies the homomorphism equation on all n^2 pairs, so it also
+    certifies that X satisfies the axioms and that the factors are right.  A
+    table that breaks the axioms raises ValueError, ClassificationError or
+    TheoremViolationError and is never decomposed.
     """
     if not is_connected(X):
         raise ClassificationError("not-connected", f"order-{X.n} quandle is disconnected")
-    try:
-        dis = closure(_displacement_generators(X), cap=X.n)
-    except ClosureLimitError:
-        dis = None
-    if dis is None or not is_abelian(dis):
+    dis = _flat_connected_dis(X)
+    if dis is None:
         raise ClassificationError("not-flat", f"order-{X.n} quandle has a non-commutative displacement group")
     factors = _primary_factors([perm_order(g) for g in dis])
     witness = find_isomorphism(X, _dihedral_product(factors))

@@ -8,8 +8,6 @@ profile prunes the candidates; it never decides a positive.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .core import Quandle, _preserves
 from .perms import (
     PermutationGroup, compose, cycle_lengths, identity_perm, inverse, orbit, perm_order
@@ -27,8 +25,7 @@ def is_homomorphism(f, X: Quandle, Y: Quandle) -> bool:
     return _preserves(f, X.table, Y.table)
 
 
-@lru_cache(maxsize=None)
-def _point_profiles(X: Quandle) -> tuple:
+def _point_profiles(X: Quandle) -> list:
     """Per-point invariant: (inner orbit size, cycle type of s_y, number of x
     with s_x(y) = y, sorted orders of s_x . s_y over all x).
 
@@ -50,7 +47,7 @@ def _point_profiles(X: Quandle) -> tuple:
             )
             for z in orb:
                 profiles[z] = profile
-    return tuple(profiles)
+    return profiles
 
 
 def _generation_order(X: Quandle) -> list[int]:
@@ -74,17 +71,20 @@ def _generation_order(X: Quandle) -> list[int]:
 
 
 def _search(
-    X: Quandle, Y: Quandle, find_all: bool, image_of_0: int | None = None
+    X: Quandle, Y: Quandle, find_all: bool, images_of_0: list[int] | None = None
 ) -> list[tuple[int, ...]]:
     """Isomorphisms X -> Y: the first one, or all with `find_all`.
 
     Runs on X relabelled by generation order.  A start tries the points of Y
     with its profile; any other point t is s_a(b) with a, b < t, pinned to
     s_f(a)(f(b)).  Each pair (a, b) is checked once, at the last of a, b and
-    s_a(b), pinning pairs first.  `image_of_0` restricts f(0).
+    s_a(b), pinning pairs first.  With `images_of_0`, f(0) tries each of them
+    in turn; the result holds the first isomorphism for each, up to the first
+    one with none.
     """
     n = X.n
-    px, py = _point_profiles(X), _point_profiles(Y)
+    px = _point_profiles(X)
+    py = px if Y is X else _point_profiles(Y)
     if sorted(px) != sorted(py):
         return []
     order = _generation_order(X)
@@ -104,9 +104,9 @@ def _search(
         [y for y in range(n) if py[y] == px[x]] if pin[k] is None else None
         for k, x in enumerate(order)
     ]
-    if image_of_0 is not None:
-        candidates[0] = [y for y in candidates[0] if y == image_of_0]
-    f, used = [-1] * n, [False] * n
+    first = candidates[0]  # order[0] is 0
+    runs = [first] if images_of_0 is None else [[y] if y in first else [] for y in images_of_0]
+    f = [-1] * n
     found: list[tuple[int, ...]] = []
 
     def assign(k: int) -> bool:
@@ -130,7 +130,11 @@ def _search(
         f[k] = -1
         return False
 
-    assign(0)
+    for run in runs:
+        candidates[0], used = run, [False] * n
+        if not assign(0):
+            break
+    del assign  # it refers to itself; without it, only the cyclic collector frees the tables
     return found
 
 

@@ -22,8 +22,9 @@ def identity_perm(degree: int) -> Perm:
 
 
 def is_perm(images, degree: int) -> bool:
-    """True if `images` lists every index in {0..degree-1} exactly once."""
-    return len(images) == degree and sorted(images) == list(range(degree))
+    """True if `images` lists every index in {0..degree-1} exactly once, as ints."""
+    ints = all(type(v) is int for v in images)
+    return ints and len(images) == degree and sorted(images) == list(range(degree))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -97,7 +98,7 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
     """Generate the group spanned by `generators` by breadth-first products.
 
     A generator already in the group closed so far is skipped, as in Dimino's
-    method; the rest, in input order, are kept as the result's `generators`.
+    method; the rest, in input order, are checked and kept as `generators`.
     Each at least doubles the group, so at most log2 of its order are kept.
     `cap` bounds the number of elements and defaults to degree!, the largest
     possible order; exceeding it raises ClosureLimitError.
@@ -106,9 +107,6 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
     if not gens:
         raise ValueError("at least one generator is required")
     degree = len(gens[0])
-    for g in gens:
-        if not is_perm(g, degree):
-            raise ValueError(f"not a permutation of degree {degree}: {g}")
     if cap is None:
         cap = math.factorial(degree)
     elements = {identity_perm(degree)}
@@ -116,6 +114,8 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
     for g in gens:
         if g in elements:
             continue
+        if not is_perm(g, degree):
+            raise ValueError(f"not a permutation of degree {degree}: {g}")
         kept.append(g)
         # Every element was already multiplied by the earlier generators; only
         # g is new to them.  Elements found from here on need every generator.
@@ -188,11 +188,12 @@ def group_to_obj(group: PermutationGroup) -> dict:
 def group_from_obj(obj) -> PermutationGroup:
     if not isinstance(obj, dict) or "degree" not in obj or "generators" not in obj:
         raise ValueError("expected an object with 'degree' and 'generators'")
-    degree = obj["degree"]
-    gens = [tuple(g) for g in obj["generators"]]
+    degree, gens = obj["degree"], obj["generators"]
+    if type(degree) is not int or degree < 0 or not isinstance(gens, list):
+        raise ValueError("expected a non-negative int 'degree' and a list 'generators'")
     for g in gens:
-        if not is_perm(g, degree):
-            raise ValueError(f"not a permutation of degree {degree}: {g}")
+        if not isinstance(g, (list, tuple)) or not is_perm(g, degree):
+            raise ValueError(f"not a permutation of degree {degree}: {g!r}")
     if not gens:
         gens = [identity_perm(degree)]
     return closure(gens)

@@ -1,13 +1,20 @@
+import gc
+import random
+from functools import reduce
+
 from conftest import (
     affine5,
     affine_quandle,
     pinned_point_quandle,
+    relabeled,
     small_corpus,
     transposition_quandle,
 )
 from quandles import (
+    Quandle,
     analyze,
     automorphism_group,
+    classify_flat_connected,
     closure,
     dihedral_quandle,
     direct_product,
@@ -20,7 +27,7 @@ from quandles import (
     is_involutive,
     trivial_quandle,
 )
-from quandles.perms import compose, inverse, is_transitive
+from quandles.perms import compose, inverse, is_abelian, is_transitive
 
 
 def test_inner_group_orders():
@@ -47,10 +54,13 @@ def _labelled_quandles_to_order_5():
 def test_displacement_group_from_n_generators_matches_all_pairs():
     quandles = _labelled_quandles_to_order_5()
     quandles += [affine_quandle(p, t) for p, t in ((5, 2), (7, 3), (11, 2), (13, 2))]
+    quandles += [transposition_quandle(m) for m in range(2, 8)]
     for X in quandles:
         rows = X.table
         every_pair = closure([compose(rx, ry) for rx in rows for ry in rows])
-        assert displacement_group(X).elements == every_pair.elements
+        dis = displacement_group(X)
+        assert dis.elements == every_pair.elements
+        assert is_flat(X) == is_abelian(dis)
 
 
 def test_displacement_group_of_odd_dihedral_is_translations():
@@ -82,6 +92,10 @@ def test_flat_examples():
         assert is_flat(dihedral_quandle(n))
         assert is_flat(trivial_quandle(n))
     assert not is_flat(affine5())
+    # Dis of S_m transpositions has m!/2 elements; the cap of n stops its closure.
+    for m in range(8, 16):
+        assert not is_flat(transposition_quandle(m))
+    assert is_flat(dihedral_quandle(105))
 
 
 def test_involutive_examples():
@@ -112,7 +126,14 @@ def test_homogeneous_examples():
 
 
 def test_homogeneous_matches_automorphism_group_oracle():
-    for X in _labelled_quandles_to_order_5() + [pinned_point_quandle()]:
+    others = [pinned_point_quandle()]
+    others += [trivial_quandle(n) for n in (5, 6, 7)]
+    others += [dihedral_quandle(n) for n in (6, 8, 10, 12)]
+    others += [
+        direct_product(dihedral_quandle(m), trivial_quandle(k))
+        for m, k in ((3, 2), (3, 3), (5, 2))
+    ]
+    for X in _labelled_quandles_to_order_5() + others:
         assert is_homogeneous(X) == is_transitive(automorphism_group(X))
 
 
@@ -223,3 +244,19 @@ def test_analyze_report():
     others += [affine_quandle(p, t) for p in (5, 7, 11, 13) for t in range(2, p)]
     for X in small_corpus() + others:
         assert analyze(X)["inn_order"] == len(inner_group(X))
+
+
+def test_repeated_calls_keep_no_quandle_alive():
+    # Nothing is cached between calls: fresh relabellings die with their callers.
+    bases = [
+        reduce(direct_product, map(dihedral_quandle, factors))
+        for factors in ((3, 3), (9,), (11,), (13,), (5, 3), (17,), (19,))
+    ]
+    rng = random.Random(6)
+    before = sum(isinstance(o, Quandle) for o in gc.get_objects())
+    for k in range(100):
+        Y = relabeled(bases[k % len(bases)], rng)
+        assert classify_flat_connected(Y).witness
+        assert analyze(Y)["flat"] and is_flat(Y)
+    del Y
+    assert sum(isinstance(o, Quandle) for o in gc.get_objects()) <= before

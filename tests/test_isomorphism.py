@@ -1,3 +1,5 @@
+import gc
+import random
 from functools import reduce
 
 import pytest
@@ -16,6 +18,7 @@ from quandles import (
     dihedral_quandle,
     direct_product,
     find_isomorphism,
+    is_homogeneous,
     is_homomorphism,
     trivial_quandle,
 )
@@ -132,8 +135,6 @@ def test_automorphism_group_contains_rows():
 
 def test_random_relabelings_are_always_found():
     # A false negative here would mean the pruning invariants are unsound.
-    import random
-
     rng = random.Random(20240811)
     cases = [X for X in small_corpus() for _ in range(3)]
     # Orders 81 to 105, whose search must not depend on the labelling, and
@@ -158,3 +159,18 @@ def test_isomorphism_invariance_of_analysis():
     for X, Y in pairs:
         assert find_isomorphism(X, Y) is not None
         assert analyze(X) == analyze(Y)
+
+
+def test_search_leaves_no_garbage_cycles():
+    # The search tables must be freed by reference counting alone.
+    X = dihedral_quandle(9)
+    Y = relabeled(X, random.Random(9))
+    XT = direct_product(dihedral_quandle(3), trivial_quandle(2))
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_isomorphism(X, Y) is not None
+        assert is_homogeneous(XT)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -208,6 +208,19 @@ def test_group_serialization_round_trip():
         group_from_obj({"degree": 3, "generators": [[0, 0, 1]]})
     with pytest.raises(ValueError):
         group_from_obj([1, 2])
+    for malformed in (
+        {"degree": "a", "generators": []},
+        {"degree": -1, "generators": []},
+        {"degree": True, "generators": []},
+        {"degree": 2, "generators": 5},
+        {"degree": 2, "generators": [5]},
+        {"degree": 2, "generators": [[1.0, 0]]},
+        {"degree": 2, "generators": [[True, False]]},
+    ):
+        with pytest.raises(ValueError):
+            group_from_obj(malformed)
+    with pytest.raises(ValueError):
+        closure([(1.0, 0)])
 
 
 @given(st.lists(perms_of_4, min_size=1, max_size=3))
