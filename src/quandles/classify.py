@@ -4,9 +4,10 @@ Such a quandle is isomorphic to a direct product of dihedral quandles whose
 sizes are odd prime powers, namely the primary decomposition of its (abelian)
 displacement group.  `classify_flat_connected` gets that group from the
 flatness check in `analysis`, reads the factors off its element orders, and
-certifies them by an isomorphism onto the predicted product; `predicted_count`
-and `build_representatives` enumerate the factorizations per order.  Nothing
-is cached between calls.
+certifies them by an isomorphism onto the predicted product.  That Dis acts
+regularly, so each element's order is the length of its cycle through 0.
+`predicted_count` and `build_representatives` enumerate the factorizations
+per order.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import NamedTuple
 from .analysis import _flat_connected_dis, is_connected
 from .core import Quandle, dihedral_quandle, direct_product, trivial_quandle
 from .isomorphism import find_isomorphism
-from .perms import perm_order
 from .triplets import FiniteGroup, element_order, is_abelian_group
 
 
@@ -30,13 +30,14 @@ class ClassificationError(Exception):
 
 
 class TheoremViolationError(RuntimeError):
-    """No isomorphism witness onto the dihedral product read off Dis.
+    """Dis is not regular, or no isomorphism witness onto the dihedral
+    product read off it.
 
-    Raised only where `find_isomorphism` returns None.  For a flat connected
-    quandle this cannot happen with a correct implementation.  It is also how
-    a table that breaks the axioms can fail, since `Quandle` checks only the
-    shape and no isomorphism witness exists for it.  The message carries the
-    offending table so the failure can be reproduced.
+    For a flat connected quandle neither can happen with a correct
+    implementation.  It is also how a table that breaks the axioms can fail,
+    since `Quandle` checks only the shape and no isomorphism witness exists
+    for it.  The message carries the offending table so the failure can be
+    reproduced.
     """
 
 
@@ -138,6 +139,14 @@ def build_representatives(n: int) -> list[Quandle]:
     return [_dihedral_product(ms) for ms in odd_prime_power_multisets(n)]
 
 
+def _cycle_through_0(g) -> int:
+    """Length of the cycle of the permutation g through the point 0."""
+    length, x = 1, g[0]
+    while x:
+        length, x = length + 1, g[x]
+    return length
+
+
 def _primary_factors(orders) -> tuple[int, ...]:
     """Primary decomposition of an abelian group, as descending prime powers,
     from the orders of all its elements.
@@ -195,20 +204,27 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     `load_quandle`.  Connectivity and flatness are verified, not assumed: a
     disconnected or non-flat quandle is an error naming the failed
     certificate.  Flatness comes from `_flat_connected_dis`, which closes Dis
-    with a cap of n elements, the order of a flat one; the factors are the
-    primary decomposition of that Dis, read off its element orders.  The
-    isomorphism witness onto their dihedral product is the one certificate:
-    it satisfies the homomorphism equation on all n^2 pairs, so it also
-    certifies that X satisfies the axioms and that the factors are right.  A
-    table that breaks the axioms raises ValueError, ClassificationError or
-    TheoremViolationError and is never decomposed.
+    with a cap of n elements, the order of a flat one.  A transitive abelian
+    group is regular, so every cycle of an element g has length ord(g): the
+    factors are the primary decomposition of Dis, read off the cycles through
+    0.  An O(n) guard first checks that Dis has n elements and sends 0 to n
+    distinct points; only a table that breaks the axioms can fail it.  The
+    isomorphism witness onto the dihedral product of the factors is the one
+    certificate: it satisfies the homomorphism equation on all n^2 pairs, so
+    it also certifies that X satisfies the axioms and that the factors are
+    right.  A table that breaks the axioms raises ValueError,
+    ClassificationError or TheoremViolationError and is never decomposed.
     """
     if not is_connected(X):
         raise ClassificationError("not-connected", f"order-{X.n} quandle is disconnected")
     dis = _flat_connected_dis(X)
     if dis is None:
         raise ClassificationError("not-flat", f"order-{X.n} quandle has a non-commutative displacement group")
-    factors = _primary_factors([perm_order(g) for g in dis])
+    if len(dis) != X.n or len({g[0] for g in dis}) != X.n:
+        raise TheoremViolationError(
+            f"displacement group of order {len(dis)} does not act regularly: {X.table}"
+        )
+    factors = _primary_factors([_cycle_through_0(g) for g in dis])
     witness = find_isomorphism(X, _dihedral_product(factors))
     if witness is None:
         raise TheoremViolationError(

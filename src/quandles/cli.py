@@ -35,6 +35,7 @@ from .enumeration import (
     enumerate_quandles,
 )
 from .isomorphism import find_isomorphism
+from .perms import ClosureLimitError
 from .triplets import (
     fix_set,
     is_abelian_group,
@@ -287,10 +288,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     # Malformed input, invalid tables and triplets, and the order cap all
-    # raise ValueError subclasses.
+    # raise ValueError subclasses; the group cap of `triplet` raises
+    # ClosureLimitError.
     try:
         return args.func(args)
-    except (BudgetExceededError, OSError, ValueError) as e:
+    except (BudgetExceededError, ClosureLimitError, OSError, ValueError) as e:
         _fail(str(e))
         return 2
 

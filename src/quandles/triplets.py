@@ -14,9 +14,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .analysis import displacement_group
+from .analysis import _displacement_generators
 from .core import Quandle, _check_shape, _preserves, _product_table
-from .perms import PermutationGroup, compose, inverse, is_perm, orbit
+from .perms import PermutationGroup, closure, compose, inverse, is_perm, orbit
+
+# The derivation builds the |G|^2 table of G; at 2,520 elements that takes
+# about 11 s, so the default group is closed with this cap.
+_GROUP_CAP = 1000
 
 
 class FiniteGroup:
@@ -276,15 +280,17 @@ def triplet_from_quandle(
 ) -> DerivedTriplet:
     """Derive (G, G_x, conjugation-by-s_x) from a symmetry-stable group G.
 
-    `group` defaults to the displacement group.  Every generator is verified
-    to be a quandle automorphism, which makes every element one, and the
-    conjugation s_x g s_x^-1 is verified to land back in the group.  When the
+    `group` defaults to the displacement group, closed with a cap of
+    `_GROUP_CAP` elements; a larger one raises ClosureLimitError.  A group
+    passed in is not capped.  Every generator is verified to be a quandle
+    automorphism, which makes every element one, and the conjugation
+    s_x g s_x^-1 is verified to land back in the group.  When the
     group acts transitively the returned witness is checked to be an
     isomorphism from the coset quandle onto X; requesting a witness from an
     intransitive group is an error.
     """
     if group is None:
-        group = displacement_group(X)
+        group = closure(_displacement_generators(X), cap=_GROUP_CAP)
     if group.degree != X.n:
         raise ValueError(f"group degree {group.degree} does not match |X| = {X.n}")
     if not 0 <= basepoint < X.n:

@@ -171,6 +171,10 @@ def test_classify_never_decomposes_an_invalid_table():
             ):
                 classify_flat_connected(Quandle(table))
     assert invalid == 19693
+    # Dis is abelian but has 2 elements, not 3: the cycle of (0)(1 2) through
+    # 0 is shorter than its order, so the regularity guard must refuse it.
+    with pytest.raises(TheoremViolationError, match="regularly"):
+        classify_flat_connected(Quandle([[1, 0, 2], [1, 0, 2], [2, 0, 1]]))
     # One or two swaps within a row of a flat connected quandle, off the
     # diagonal: rows stay permutations and s_x(x) = x still holds.
     rng = random.Random(0)

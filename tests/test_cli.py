@@ -1,5 +1,7 @@
 import json
+import time
 
+from conftest import transposition_quandle
 from quandles import dihedral_quandle, dumps_quandle, is_homomorphism, trivial_quandle
 from quandles.cli import main
 
@@ -157,6 +159,14 @@ def test_triplet_command(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["witness"] is None
     assert obj["certificates"]["group_abelian"] is True
+
+    # Dis of the S_8 transpositions is A_8, over the group cap: refused fast.
+    t8 = write(tmp_path, "t8.json", dumps_quandle(transposition_quandle(8)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["triplet", t8])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "cap" in err
 
 
 def test_classify_command(capsys, tmp_path):

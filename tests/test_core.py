@@ -17,6 +17,7 @@ from quandles import (
     trivial_quandle,
     validate_quandle,
 )
+from quandles.core import _check_shape, _product_table
 
 
 def test_validate_dihedral3():
@@ -85,6 +86,10 @@ def test_dihedral_quandle():
     assert dihedral_quandle(3).table == ((0, 2, 1), (2, 1, 0), (1, 0, 2))
     assert dihedral_quandle(1).table == ((0,),)
     assert dihedral_quandle(4).row(1) == (2, 1, 0, 3)
+    for n in range(1, 61):
+        assert dihedral_quandle(n).table == tuple(
+            tuple((2 * x - y) % n for y in range(n)) for x in range(n)
+        )
     with pytest.raises(ValueError):
         dihedral_quandle(0)
 
@@ -127,6 +132,30 @@ def test_direct_product_cardinality_and_validity():
         P = direct_product(X, Y)
         assert P.n == X.n * Y.n
         assert validate_quandle(P.table) == []
+    # Every cell of the row-major product, on pairs of orders 1..9.
+    factors = [trivial_quandle(n) for n in (1, 2, 4)]
+    factors += [dihedral_quandle(n) for n in range(1, 10)] + [affine5()]
+    for X in factors:
+        for Y in factors:
+            a, b, m = X.table, Y.table, Y.n
+            assert _product_table(a, b) == tuple(
+                tuple(a[x][u] * m + b[y][v] for u in range(X.n) for v in range(m))
+                for x in range(X.n)
+                for y in range(m)
+            )
+
+
+def test_trusted_constructions_store_checked_shapes():
+    # trivial_quandle, dihedral_quandle and direct_product skip the shape
+    # check, so their tables must be exactly what the check would return.
+    base = [trivial_quandle(n) for n in range(1, 13)]
+    base += [dihedral_quandle(n) for n in range(1, 41)]
+    built = base + [direct_product(X, affine5()) for X in base]
+    built += [direct_product(X, Y) for X in base for Y in base if X.n * Y.n <= 60]
+    for X in built:
+        assert type(X.table) is tuple
+        assert all(type(row) is tuple for row in X.table)
+        assert _check_shape(X.table) == X.table
 
 
 def test_direct_product_associative_up_to_isomorphism():

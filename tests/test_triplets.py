@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import affine5
+from conftest import affine5, transposition_quandle
 from quandles import (
     FiniteGroup,
     InvalidTripletError,
@@ -240,6 +240,19 @@ def test_derived_triplet_witness_requires_transitivity():
     d = triplet_from_quandle(X, 0, disp, with_witness=False)
     assert d.witness is None
     assert d.triplet.group.order == 2
+
+
+def test_derived_triplet_caps_only_the_default_group(monkeypatch):
+    from quandles import ClosureLimitError, triplets
+
+    for m in (7, 8, 10):  # Dis is A_m: 2,520 elements and more
+        with pytest.raises(ClosureLimitError):
+            triplet_from_quandle(transposition_quandle(m))
+    monkeypatch.setattr(triplets, "_GROUP_CAP", 4)
+    X = dihedral_quandle(5)
+    with pytest.raises(ClosureLimitError):
+        triplet_from_quandle(X)
+    assert triplet_from_quandle(X, 0, displacement_group(X)).triplet.group.order == 5
 
 
 def test_derived_triplet_rejects_non_automorphism_group():
