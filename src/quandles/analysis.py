@@ -9,12 +9,10 @@ Nothing is cached between calls.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .core import Quandle
 from .isomorphism import _search
 from .perms import (
-    ClosureLimitError, PermutationGroup, closure, compose, identity_perm, is_abelian, orbit
+    ClosureLimitError, PermutationGroup, _commute, closure, compose, identity_perm, is_abelian, orbit
 )
 
 
@@ -55,8 +53,7 @@ def is_flat(X: Quandle) -> bool:
     if X is connected, else by its n generators s_x . s_0 commuting pairwise."""
     if is_connected(X):
         return _flat_connected_dis(X) is not None
-    gens = set(_displacement_generators(X))
-    return all(compose(g, h) == compose(h, g) for g, h in combinations(gens, 2))
+    return _commute(set(_displacement_generators(X)))
 
 
 def is_involutive(X: Quandle) -> bool:

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .analysis import _flat_connected_dis, is_connected
 from .core import Quandle, dihedral_quandle, direct_product, trivial_quandle
 from .isomorphism import find_isomorphism
+from .perms import _cycle_through_0
 from .triplets import FiniteGroup, element_order, is_abelian_group
 
 
@@ -137,14 +138,6 @@ def _dihedral_product(factors) -> Quandle:
 def build_representatives(n: int) -> list[Quandle]:
     """One dihedral product per odd-prime-power multiset with product n."""
     return [_dihedral_product(ms) for ms in odd_prime_power_multisets(n)]
-
-
-def _cycle_through_0(g) -> int:
-    """Length of the cycle of the permutation g through the point 0."""
-    length, x = 1, g[0]
-    while x:
-        length, x = length + 1, g[x]
-    return length
 
 
 def _primary_factors(orders) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ from .classify import (
 )
 from .core import (
     FormatError,
+    _parse_json,
     dihedral_quandle,
     direct_product,
     dumps_quandle,
@@ -56,12 +57,7 @@ def _fail(message: str) -> None:
 
 def _load_triplet(path):
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return parse_triplet(obj)
+        return parse_triplet(_parse_json(fh.read()))
 
 
 def _cmd_validate(args) -> int:
@@ -89,8 +85,6 @@ def _cmd_make(args) -> int:
             n = int(params[0])
         except ValueError:
             raise FormatError(f"{params[0]!r} is not an integer") from None
-        if n < 1:
-            raise FormatError("order must be positive")
         X = trivial_quandle(n) if kind == "trivial" else dihedral_quandle(n)
     elif kind == "product":
         if len(params) != 2:
@@ -166,8 +160,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_predict(args) -> int:
     n = args.order
-    if n < 1:
-        raise FormatError("order must be positive")
     _emit(
         {
             "n": n,

@@ -126,7 +126,10 @@ def validate_quandle(table) -> list[AxiomViolation]:
     """Check the three axioms, returning every violation with a witness.
 
     Malformed input (non-square table, out-of-range or non-integer entries)
-    raises ValueError before any axiom is examined.
+    raises ValueError before any axiom is examined.  (Q3) says that each
+    row is an endomorphism of the table, so it is decided a whole row at a
+    time by `_preserves`; the cells of a row are read only when it fails, to
+    list its witnesses (x, y, z) in ascending order.
     """
     rows = _check_shape(table)
     n = len(rows)
@@ -142,8 +145,10 @@ def validate_quandle(table) -> list[AxiomViolation]:
     bad_rows = {v.witness[0] for v in violations if v.axiom == "Q2"}
     for x in range(n):
         rx = rows[x]
+        if x in bad_rows or _preserves(rx, rows, rows):
+            continue
         for y in range(n):
-            if x in bad_rows or y in bad_rows or rows[x][y] in bad_rows:
+            if y in bad_rows or rx[y] in bad_rows:
                 continue
             ry = rows[y]
             rxy = rows[rx[y]]
@@ -200,12 +205,17 @@ def dumps_quandle(X: Quandle) -> str:
     return json.dumps(quandle_to_obj(X), separators=(",", ":"))
 
 
-def parse_quandle_json(text: str) -> list[list[int]]:
-    """Parse the JSON form into a raw table, without axiom checks."""
+def _parse_json(text: str):
+    """`json.loads`, with a syntax error raised as FormatError at its position."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+
+
+def parse_quandle_json(text: str) -> list[list[int]]:
+    """Parse the JSON form into a raw table, without axiom checks."""
+    obj = _parse_json(text)
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object with keys 'n' and 'table'")
     if "table" not in obj:

@@ -8,6 +8,7 @@ sets.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from operator import itemgetter
 
 Perm = tuple[int, ...]
@@ -58,6 +59,14 @@ def cycle_lengths(p: Perm) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths))
+
+
+def _cycle_through_0(p: Perm) -> int:
+    """Length of the cycle of p through the point 0."""
+    length, x = 1, p[0]
+    while x:
+        length, x = length + 1, p[x]
+    return length
 
 
 def perm_order(p: Perm) -> int:
@@ -159,14 +168,14 @@ def is_transitive(group: PermutationGroup) -> bool:
     return len(orbit(group.generators, 0)) == group.degree
 
 
+def _commute(perms) -> bool:
+    """True iff the permutations commute pairwise."""
+    return all(compose(g, h) == compose(h, g) for g, h in combinations(perms, 2))
+
+
 def is_abelian(group: PermutationGroup) -> bool:
     # Generators commuting pairwise is enough: they generate everything.
-    gens = group.generators
-    for i, g in enumerate(gens):
-        for h in gens[i + 1 :]:
-            if compose(g, h) != compose(h, g):
-                return False
-    return True
+    return _commute(group.generators)
 
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:

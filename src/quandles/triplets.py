@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .analysis import _displacement_generators
 from .core import Quandle, _check_shape, _preserves, _product_table
-from .perms import PermutationGroup, closure, compose, inverse, is_perm, orbit
+from .perms import PermutationGroup, _cycle_through_0, closure, compose, inverse, is_perm, orbit
 
 # The derivation builds the |G|^2 table of G; at 2,520 elements that takes
 # about 11 s, so the default group is closed with this cap.
@@ -26,17 +26,20 @@ _GROUP_CAP = 1000
 class FiniteGroup:
     """A finite group given by its m x m multiplication table.
 
-    The shape goes through the same check as a quandle table, and the
-    identity and inverse maps are derived on construction.  The public
-    constructor also checks associativity exhaustively.  Internal builders
-    (cyclic, direct, from_permutations) produce tables that are associative
-    by construction and skip that pass.
+    The identity and inverse maps are derived on construction.  The public
+    constructor first puts the table through the same shape check as a
+    quandle table, and afterwards checks associativity a whole row pair at a
+    time: a(bc) = (ab)c for every c says that row a after row b is row ab.
+    The cells are read only to name the first failing (a, b, c).  Internal
+    builders (cyclic, direct, from_permutations) pass `_trusted=True` and
+    skip both checks, as the `Quandle` builders do: their rows must already
+    be a tuple of m tuples of ints in 0..m-1 that is associative.
     """
 
     __slots__ = ("order", "mul", "identity", "inv")
 
     def __init__(self, mul, *, _trusted: bool = False):
-        rows = _check_shape(mul)
+        rows = mul if _trusted else _check_shape(mul)
         m = len(rows)
         identity = None
         for e in range(m):
@@ -54,14 +57,12 @@ class FiniteGroup:
             if inv[g] is None:
                 raise ValueError(f"element {g} has no inverse")
         if not _trusted:
-            for a in range(m):
-                for b in range(m):
-                    ab = rows[a][b]
-                    for c in range(m):
-                        if rows[ab][c] != rows[a][rows[b][c]]:
-                            raise ValueError(
-                                f"not associative at ({a},{b},{c})"
-                            )
+            for a, ra in enumerate(rows):
+                for b, rb in enumerate(rows):
+                    rab = rows[ra[b]]
+                    if compose(ra, rb) != rab:
+                        c = next(c for c in range(m) if rab[c] != ra[rb[c]])
+                        raise ValueError(f"not associative at ({a},{b},{c})")
         object.__setattr__(self, "order", m)
         object.__setattr__(self, "mul", rows)
         object.__setattr__(self, "identity", identity)
@@ -105,6 +106,8 @@ class FiniteGroup:
 def _indexed_group(perms):
     """(elements sorted lexicographically, the index of each, their abstract group)."""
     elements = tuple(sorted(tuple(p) for p in perms))
+    if not elements:
+        raise ValueError("empty table: at least one element is required")
     index = {p: i for i, p in enumerate(elements)}
     if len(index) != len(elements):
         raise ValueError("duplicate permutations")
@@ -117,23 +120,16 @@ def _indexed_group(perms):
                 raise ValueError("permutation set is not closed under composition")
             row.append(index[r])
         table.append(tuple(row))
-    return elements, index, FiniteGroup(table, _trusted=True)
+    return elements, index, FiniteGroup(tuple(table), _trusted=True)
 
 
 def element_order(G: FiniteGroup, g: int) -> int:
-    order = 1
-    x = g
-    while x != G.identity:
-        x = G.mul[x][g]
-        order += 1
-    return order
+    """The order of g: row g maps h to gh, so each of its cycles has length ord(g)."""
+    return _cycle_through_0(G.mul[g])
 
 
 def is_abelian_group(G: FiniteGroup) -> bool:
-    m = G.mul
-    return all(
-        m[a][b] == m[b][a] for a in range(G.order) for b in range(a + 1, G.order)
-    )
+    return G.mul == tuple(zip(*G.mul))
 
 
 def is_subgroup(G: FiniteGroup, indices) -> bool:
@@ -251,10 +247,10 @@ def quandle_from_triplet(triplet: QuandleTriplet) -> CosetQuandle:
             reps.append(g)
             for k in triplet.subgroup:
                 coset_of[mul[g][k]] = idx
-    table = [
-        [coset_of[mul[g][sig[mul[inv[g]][h]]]] for h in reps] for g in reps
-    ]
-    return CosetQuandle(Quandle(table), tuple(reps))
+    table = tuple(
+        tuple(coset_of[mul[g][sig[mul[inv[g]][h]]]] for h in reps) for g in reps
+    )
+    return CosetQuandle(Quandle(table, _trusted=True), tuple(reps))
 
 
 class DerivedTriplet(NamedTuple):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import affine5, relabeled, transposition_quandle
+from conftest import affine5, affine_quandle, relabeled, transposition_quandle
 from quandles import (
     ClassificationError,
     FiniteGroup,
@@ -23,6 +23,7 @@ from quandles import (
     trivial_quandle,
     validate_quandle,
 )
+from quandles.isomorphism import _point_profiles
 
 KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
@@ -213,3 +214,52 @@ def test_representatives_pairwise_non_isomorphic_small():
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert find_isomorphism(reps[i], reps[j]) is None
+
+
+def connected_affine_quandles(p: int) -> list[Quandle]:
+    """Every Aff(A, s): s_x(y) = s(y) + (1 - s)(x), for A = Z_p, Z_{p^2} or
+    F_p^2 and s and 1 - s invertible.  These are all the connected quandles
+    of orders p and p^2 (Etingof, Soloviev and Guralnick 2001; Grana 2004)."""
+    quandles = [
+        affine_quandle(n, t) for n in (p, p * p) for t in range(n) if t % p and (1 - t) % p
+    ]
+    points = list(product(range(p), repeat=2))  # (u, v) is the point u*p + v
+    for a, b, c, d in product(range(p), repeat=4):
+        if (a * d - b * c) % p and ((1 - a) * (1 - d) - b * c) % p:
+            quandles.append(Quandle([
+                [
+                    (a * (y0 - x0) + b * (y1 - x1) + x0) % p * p
+                    + (c * (y0 - x0) + d * (y1 - x1) + x1) % p
+                    for y0, y1 in points
+                ]
+                for x0, x1 in points
+            ]))
+    return quandles
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_affine_census_at_orders_p_and_p_squared(p):
+    quandles = connected_affine_quandles(p)
+    assert all(is_connected(X) for X in quandles)
+    buckets: dict = {}
+    for X in quandles:
+        bucket = buckets.setdefault((X.n, tuple(sorted(_point_profiles(X)))), [])
+        if all(find_isomorphism(X, Y) is None for Y in bucket):
+            bucket.append(X)
+    classes = [X for bucket in buckets.values() for X in bucket]
+    # p - 2 classes at order p and 2p^2 - 3p - 1 at order p^2 (OEIS A181771).
+    assert sum(X.n == p for X in classes) == p - 2
+    assert sum(X.n == p * p for X in classes) == 2 * p * p - 3 * p - 1
+    flat = []
+    for X in classes:
+        try:
+            factors, witness = classify_flat_connected(X)
+        except ClassificationError as e:
+            assert e.certificate == "not-flat"
+            continue
+        P = trivial_quandle(1)
+        for q in factors:
+            P = direct_product(P, dihedral_quandle(q))
+        assert sorted(witness) == list(range(X.n)) and is_homomorphism(witness, X, P)
+        flat.append(factors)
+    assert sorted(flat) == [(p,), (p, p), (p * p,)]

@@ -1,11 +1,18 @@
+import random
+from itertools import product
+
 import pytest
 
 from conftest import affine5
 from quandles import (
+    FiniteGroup,
     FormatError,
     InvalidQuandleError,
     Quandle,
+    abelian_negation_triplet,
     as_quandle,
+    closure,
+    displacement_group,
     dihedral_quandle,
     direct_product,
     dumps_quandle,
@@ -13,6 +20,7 @@ from quandles import (
     parse_quandle,
     parse_quandle_json,
     parse_quandle_text,
+    quandle_from_triplet,
     quandle_to_obj,
     trivial_quandle,
     validate_quandle,
@@ -66,6 +74,60 @@ def test_validate_rejects_malformed():
         validate_quandle([])
     with pytest.raises(ValueError):
         validate_quandle([[0.0, 1.0], [0.0, 1.0]])
+
+
+def brute_force_violations(table) -> list[tuple]:
+    """The axioms cell by cell: (Q1) and (Q2) per row, then (Q3) per triple
+    (x, y, z), skipping triples whose x, y or s_x(y) is a row that is not a
+    permutation."""
+    n = len(table)
+    violations = []
+    for x in range(n):
+        if table[x][x] != x:
+            violations.append(("Q1", (x,)))
+        if sorted(table[x]) != list(range(n)):
+            violations.append(("Q2", (x,)))
+    bad_rows = {v[1][0] for v in violations if v[0] == "Q2"}
+    for x, y, z in product(range(n), repeat=3):
+        if bad_rows & {x, y, table[x][y]}:
+            continue
+        if table[x][table[y][z]] != table[table[x][y]][table[x][z]]:
+            violations.append(("Q3", (x, y, z)))
+    return violations
+
+
+def perturbed(table, rng) -> list[list[int]]:
+    """A copy of table with one to three cells changed: a swap within a row,
+    which keeps it a permutation, or a cell set to any value, which may not."""
+    n = len(table)
+    out = [list(row) for row in table]
+    for _ in range(rng.randint(1, 3)):
+        x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if rng.random() < 0.5:
+            out[x][y], out[x][z] = out[x][z], out[x][y]
+        else:
+            out[x][y] = z
+    return out
+
+
+def test_validate_matches_cell_loops_on_every_3x3_table():
+    for cells in product(range(3), repeat=9):
+        table = [cells[0:3], cells[3:6], cells[6:9]]
+        assert validate_quandle(table) == brute_force_violations(table)
+
+
+def test_validate_matches_cell_loops_on_perturbed_quandles():
+    rng = random.Random(0)
+    bases = [dihedral_quandle(n) for n in range(3, 10)]
+    bases.append(direct_product(dihedral_quandle(3), trivial_quandle(3)))
+    kinds = set()
+    for X in bases:
+        for _ in range(60):
+            table = perturbed(X.table, rng)
+            violations = validate_quandle(table)
+            assert violations == brute_force_violations(table)
+            kinds |= {v.axiom for v in violations}
+    assert kinds == {"Q1", "Q2", "Q3"}
 
 
 def test_as_quandle_raises_with_violations():
@@ -146,16 +208,28 @@ def test_direct_product_cardinality_and_validity():
 
 
 def test_trusted_constructions_store_checked_shapes():
-    # trivial_quandle, dihedral_quandle and direct_product skip the shape
-    # check, so their tables must be exactly what the check would return.
+    # trivial_quandle, dihedral_quandle, direct_product, the FiniteGroup
+    # builders and quandle_from_triplet skip the shape check, so their tables
+    # must be exactly what the check would return.
     base = [trivial_quandle(n) for n in range(1, 13)]
     base += [dihedral_quandle(n) for n in range(1, 41)]
     built = base + [direct_product(X, affine5()) for X in base]
     built += [direct_product(X, Y) for X in base for Y in base if X.n * Y.n <= 60]
-    for X in built:
-        assert type(X.table) is tuple
-        assert all(type(row) is tuple for row in X.table)
-        assert _check_shape(X.table) == X.table
+    cyclic = [FiniteGroup.cyclic(n) for n in range(1, 13)]
+    groups = cyclic + [FiniteGroup.direct(G, H) for G in cyclic for H in cyclic]
+    groups += [
+        FiniteGroup.from_permutations(closure([(1, 0, 2), (0, 2, 1)]).elements),
+        FiniteGroup.from_permutations(displacement_group(dihedral_quandle(9)).elements),
+    ]
+    tables = [X.table for X in built] + [G.mul for G in groups]
+    tables += [
+        quandle_from_triplet(abelian_negation_triplet(factors)).quandle.table
+        for factors in ([2], [9], [3, 5], [4, 9])
+    ]
+    for table in tables:
+        assert type(table) is tuple
+        assert all(type(row) is tuple for row in table)
+        assert _check_shape(table) == table
 
 
 def test_direct_product_associative_up_to_isomorphism():

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from conftest import affine5, transposition_quandle
@@ -10,6 +13,7 @@ from quandles import (
     dihedral_quandle,
     direct_product,
     displacement_group,
+    element_order,
     find_isomorphism,
     fix_set,
     is_abelian_group,
@@ -49,17 +53,43 @@ def test_finite_group_construction():
     assert Z3.inv == (0, 2, 1)
 
 
+# A loop (Latin square with identity and inverses) that is not associative.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def brute_force_group_error(table) -> str | None:
+    """What a shape-valid table lacks to be a group, cell by cell: the first
+    identity, then an inverse for each element, then associativity at the
+    first (a, b, c)."""
+    m = range(len(table))
+    units = [e for e in m if all(table[e][g] == g == table[g][e] for g in m)]
+    if not units:
+        return "table has no identity element"
+    for g in m:
+        if not any(table[g][h] == units[0] == table[h][g] for h in m):
+            return f"element {g} has no inverse"
+    for a, b, c in product(m, repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return f"not associative at ({a},{b},{c})"
+    return None
+
+
+def power_loop_order(G: FiniteGroup, g: int) -> int:
+    order, x = 1, g
+    while x != G.identity:
+        order, x = order + 1, G.mul[x][g]
+    return order
+
+
 def test_finite_group_rejects_non_groups():
-    # A loop (Latin square with identity and inverses) that is not associative.
-    loop5 = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(ValueError, match="associative"):
-        FiniteGroup(loop5)
+        FiniteGroup(LOOP5)
     with pytest.raises(ValueError, match="inverse"):
         FiniteGroup([[0, 1], [1, 1]])
     with pytest.raises(ValueError, match="identity"):
@@ -72,6 +102,40 @@ def test_finite_group_rejects_non_groups():
         FiniteGroup([[0, 2], [1, 0]])
     with pytest.raises(ValueError, match="not an integer"):
         FiniteGroup([[0, True], [True, 0]])
+
+
+def test_finite_group_errors_match_cell_loops():
+    rng = random.Random(0)
+    tables = [LOOP5]
+    for m in range(1, 9):
+        Zm = FiniteGroup.cyclic(m).mul
+        for _ in range(60):
+            table = [list(row) for row in Zm]
+            for _ in range(rng.randint(1, 2)):
+                table[rng.randrange(m)][rng.randrange(m)] = rng.randrange(m)
+            tables.append(table)
+    associativity = 0
+    for table in tables:
+        expected = brute_force_group_error(table)
+        if expected is None:
+            assert FiniteGroup(table).mul == tuple(map(tuple, table))
+            continue
+        with pytest.raises(ValueError) as exc:
+            FiniteGroup(table)
+        assert str(exc.value) == expected
+        associativity += expected.startswith("not associative")
+    assert associativity >= 50
+
+
+def test_element_order_matches_power_loop():
+    Z = FiniteGroup.cyclic
+    A6 = FiniteGroup.from_permutations(displacement_group(transposition_quandle(6)).elements)
+    assert A6.order == 360
+    groups = [Z(12), FiniteGroup.direct(Z(2), Z(4)), FiniteGroup.direct(Z(6), Z(15))]
+    for G in groups + [s3_group(), A6]:
+        assert [element_order(G, g) for g in range(G.order)] == [
+            power_loop_order(G, g) for g in range(G.order)
+        ]
 
 
 def test_direct_group_product():
