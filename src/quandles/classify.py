@@ -5,21 +5,23 @@ sizes are odd prime powers, namely the primary decomposition of its (abelian)
 displacement group.  `classify_flat_connected` gets that group from the
 flatness check in `analysis`, reads the factors off its element orders, and
 certifies them by an isomorphism onto the predicted product.  That Dis acts
-regularly, so each element's order is the length of its cycle through 0.
-`predicted_count` and `build_representatives` enumerate the factorizations
-per order.  Nothing is cached between calls.
+regularly, so its element sending 0 to x is named by x, and the orders come
+from one walk from 0 per cyclic subgroup.  `predicted_count` and
+`build_representatives` enumerate the factorizations per order.  Nothing is
+cached between calls.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product as iter_product
 from typing import NamedTuple
 
 from .analysis import _flat_connected_dis, is_connected
 from .core import Quandle, dihedral_quandle, direct_product, trivial_quandle
 from .isomorphism import find_isomorphism
-from .perms import _cycle_through_0
-from .triplets import FiniteGroup, element_order, is_abelian_group
+from .perms import _regular_orders
+from .triplets import FiniteGroup, is_abelian_group
 
 
 class ClassificationError(Exception):
@@ -128,15 +130,16 @@ def predicted_count(n: int) -> int:
 
 
 def _dihedral_product(factors) -> Quandle:
-    """Product of dihedral quandles; the empty product is the singleton."""
-    X = trivial_quandle(1)
-    for q in factors:
-        X = direct_product(X, dihedral_quandle(q))
-    return X
+    """Product of dihedral quandles, folded from the first factor (T_1 x Y
+    would only copy Y cell by cell); the empty product is the singleton."""
+    if not factors:
+        return trivial_quandle(1)
+    return reduce(direct_product, map(dihedral_quandle, factors))
 
 
 def build_representatives(n: int) -> list[Quandle]:
-    """One dihedral product per odd-prime-power multiset with product n."""
+    """One dihedral product per odd-prime-power multiset with product n,
+    each built by `_dihedral_product` in the order the multisets are listed."""
     return [_dihedral_product(ms) for ms in odd_prime_power_multisets(n)]
 
 
@@ -187,7 +190,8 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     """Primary decomposition of an abelian group, as descending prime powers."""
     if not is_abelian_group(G):
         raise ValueError("group is not abelian")
-    return _primary_factors([element_order(G, g) for g in range(G.order)])
+    # Row g sends the identity to g, and the rows form the regular action.
+    return _primary_factors(_regular_orders(G.mul, G.identity))
 
 
 def classify_flat_connected(X: Quandle) -> FlatDecomposition:
@@ -198,10 +202,11 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     disconnected or non-flat quandle is an error naming the failed
     certificate.  Flatness comes from `_flat_connected_dis`, which closes Dis
     with a cap of n elements, the order of a flat one.  A transitive abelian
-    group is regular, so every cycle of an element g has length ord(g): the
-    factors are the primary decomposition of Dis, read off the cycles through
-    0.  An O(n) guard first checks that Dis has n elements and sends 0 to n
-    distinct points; only a table that breaks the axioms can fail it.  The
+    group is regular: an O(n) guard checks that Dis has n elements and sends
+    0 to n distinct points, which only a table that breaks the axioms can
+    fail.  Its elements, sorted lexicographically, are then indexed by the
+    image of 0, and `_regular_orders` reads their orders off one walk from 0
+    per cyclic subgroup; the factors are the primary decomposition.  The
     isomorphism witness onto the dihedral product of the factors is the one
     certificate: it satisfies the homomorphism equation on all n^2 pairs, so
     it also certifies that X satisfies the axioms and that the factors are
@@ -217,7 +222,7 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
         raise TheoremViolationError(
             f"displacement group of order {len(dis)} does not act regularly: {X.table}"
         )
-    factors = _primary_factors([_cycle_through_0(g) for g in dis])
+    factors = _primary_factors(_regular_orders(dis.elements, 0))
     witness = find_isomorphism(X, _dihedral_product(factors))
     if witness is None:
         raise TheoremViolationError(

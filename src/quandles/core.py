@@ -93,9 +93,9 @@ class Quandle:
     by construction.  Raw tables from outside enter through `as_quandle` or
     `load_quandle`, the validating boundary, which check the axioms first.
     The builders whose tables come from a checked order or from two checked
-    quandles (trivial, dihedral, product) pass `_trusted=True` and skip the
-    shape check as well; their rows must already be a tuple of n tuples of
-    ints in 0..n-1.
+    quandles (trivial, dihedral, product), and `as_quandle` once it has
+    checked the shape itself, pass `_trusted=True` and skip the shape check
+    here; their rows must already be a tuple of n tuples of ints in 0..n-1.
     """
 
     __slots__ = ("n", "table")
@@ -131,7 +131,11 @@ def validate_quandle(table) -> list[AxiomViolation]:
     time by `_preserves`; the cells of a row are read only when it fails, to
     list its witnesses (x, y, z) in ascending order.
     """
-    rows = _check_shape(table)
+    return _violations(_check_shape(table))
+
+
+def _violations(rows) -> list[AxiomViolation]:
+    """The axiom loop of `validate_quandle`, on rows `_check_shape` returned."""
     n = len(rows)
     violations = []
     full = set(range(n))
@@ -159,11 +163,13 @@ def validate_quandle(table) -> list[AxiomViolation]:
 
 
 def as_quandle(table) -> Quandle:
-    """Validate a raw table and wrap it; raises InvalidQuandleError on failure."""
-    violations = validate_quandle(table)
+    """Validate a raw table and wrap its checked rows; raises
+    InvalidQuandleError on failure."""
+    rows = _check_shape(table)
+    violations = _violations(rows)
     if violations:
         raise InvalidQuandleError(violations)
-    return Quandle(table)
+    return Quandle(rows, _trusted=True)
 
 
 def trivial_quandle(n: int) -> Quandle:

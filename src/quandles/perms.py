@@ -69,6 +69,25 @@ def _cycle_through_0(p: Perm) -> int:
     return length
 
 
+def _regular_orders(perms, base: int) -> list[int]:
+    """Element orders of a regular group listed as perms[x], the element
+    sending `base` to x, returned in the same order.  The k-th point of the
+    walk of g from `base` names g^k, of order L / gcd(k, L) for the walk's
+    length L: one walk per cyclic subgroup, not one per element (up to n^2)."""
+    orders = [0] * len(perms)
+    for x, g in enumerate(perms):
+        if orders[x]:
+            continue
+        walk, y = [base], g[base]
+        while y != base:
+            walk.append(y)
+            y = g[y]
+        length = len(walk)
+        for k, y in enumerate(walk):
+            orders[y] = length // math.gcd(k, length)
+    return orders
+
+
 def perm_order(p: Perm) -> int:
     return math.lcm(*cycle_lengths(p))
 
@@ -148,13 +167,17 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
 
 
 def orbit(generators, point: int) -> set[int]:
-    """Smallest generator-stable set of points containing `point`."""
+    """Smallest generator-stable set of points containing `point`; the
+    search stops as soon as it holds every point."""
     gens = [tuple(g) for g in generators]
-    if gens and not 0 <= point < len(gens[0]):
-        raise ValueError(f"point {point} out of range for degree {len(gens[0])}")
+    if not gens:
+        return {point}
+    degree = len(gens[0])
+    if not 0 <= point < degree:
+        raise ValueError(f"point {point} out of range for degree {degree}")
     seen = {point}
     stack = [point]
-    while stack:
+    while stack and len(seen) < degree:
         x = stack.pop()
         for g in gens:
             y = g[x]

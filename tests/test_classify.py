@@ -23,6 +23,7 @@ from quandles import (
     trivial_quandle,
     validate_quandle,
 )
+from quandles.classify import _dihedral_product
 from quandles.isomorphism import _point_profiles
 
 KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
@@ -100,6 +101,17 @@ def test_build_representatives():
             assert rep.n == n
             assert validate_quandle(rep.table) == []
             assert is_flat(rep) and is_connected(rep)
+
+
+def test_dihedral_product_matches_fold_from_the_singleton():
+    for n in range(1, 226, 2):
+        for ms in odd_prime_power_multisets(n):
+            folded = trivial_quandle(1)
+            for q in ms:
+                folded = direct_product(folded, dihedral_quandle(q))
+            table = _dihedral_product(ms).table
+            assert table == folded.table, ms
+            assert type(table) is tuple and all(type(row) is tuple for row in table)
 
 
 def test_classify_dihedral45():

@@ -1,16 +1,24 @@
 import math
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import relabeled, transposition_quandle
 from quandles import (
     ClosureLimitError,
+    FiniteGroup,
+    build_representatives,
     closure,
     compose,
     cycle_lengths,
     dihedral_quandle,
+    direct_product,
     displacement_group,
+    element_order,
+    enumerate_quandles,
     identity_perm,
     inner_group,
     inverse,
@@ -20,7 +28,10 @@ from quandles import (
     orbit,
     perm_order,
     stabilizer,
+    trivial_quandle,
 )
+from quandles.analysis import _flat_connected_dis
+from quandles.perms import _cycle_through_0, _regular_orders
 
 perms_of_4 = st.permutations(range(4)).map(tuple)
 
@@ -131,6 +142,54 @@ def test_orbit_examples():
 def test_orbit_point_out_of_range():
     with pytest.raises(ValueError):
         orbit([(0, 1, 2)], 3)
+
+
+def _orbit_by_exhaustive_search(generators, point):
+    """Breadth-first search that applies every generator to every point reached."""
+    seen, queue = {point}, deque([point])
+    while queue:
+        x = queue.popleft()
+        for g in generators:
+            if g[x] not in seen:
+                seen.add(g[x])
+                queue.append(g[x])
+    return seen
+
+
+def test_orbit_matches_exhaustive_search():
+    quandles = [X for n in range(1, 6) for X in enumerate_quandles(n)]
+    assert len(quandles) == 1 + 1 + 5 + 36 + 404
+    quandles += [transposition_quandle(m) for m in range(2, 8)]
+    quandles += [
+        direct_product(dihedral_quandle(3), trivial_quandle(3)),
+        direct_product(dihedral_quandle(5), trivial_quandle(2)),
+    ]
+    partial = 0
+    for X in quandles:
+        for y in range(X.n):
+            expected = _orbit_by_exhaustive_search(X.table, y)
+            assert orbit(X.table, y) == expected, (X.table, y)
+            partial += len(expected) < X.n
+    assert partial > 0
+
+
+def test_regular_orders_match_cycles_through_0():
+    rng = random.Random(0)
+    for n in range(1, 106, 2):
+        for rep in build_representatives(n):
+            for X in (rep, relabeled(rep, rng)):
+                dis = _flat_connected_dis(X)
+                assert [g[0] for g in dis.elements] == list(range(n))
+                expected = [_cycle_through_0(g) for g in dis.elements]
+                assert _regular_orders(dis.elements, 0) == expected, X.table
+
+
+def test_regular_orders_match_element_order():
+    cyclic = [FiniteGroup.cyclic(m) for m in range(1, 13)]
+    groups = cyclic + [FiniteGroup.direct(G, H) for G in cyclic for H in cyclic]
+    for G in groups:
+        expected = [element_order(G, g) for g in range(G.order)]
+        assert _regular_orders(G.mul, G.identity) == expected
 
 
 def test_is_transitive():
