@@ -6,15 +6,15 @@ displacement group.  `classify_flat_connected` gets that group from the
 flatness check in `analysis`, reads the factors off its element orders, and
 certifies them by an isomorphism onto the predicted product.  That Dis acts
 regularly, so its element sending 0 to x is named by x, and the orders come
-from one walk from 0 per cyclic subgroup.  `predicted_count` and
-`build_representatives` enumerate the factorizations per order.  Nothing is
-cached between calls.
+from one walk from 0 per cyclic subgroup; one counting rule turns the
+orders into the factors.  `odd_prime_power_multisets` lists the
+factorizations of an order in one recursion, and `predicted_count` and
+`build_representatives` read off that list.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product as iter_product
 from typing import NamedTuple
 
 from .analysis import _flat_connected_dis, is_connected
@@ -51,34 +51,6 @@ class FlatDecomposition(NamedTuple):
     witness: tuple[int, ...]
 
 
-def _partition_count(k: int) -> int:
-    """Number of integer partitions of k."""
-    counts = [1] + [0] * k
-    for part in range(1, k + 1):
-        for total in range(part, k + 1):
-            counts[total] += counts[total - part]
-    return counts[k]
-
-
-def _partitions(k: int) -> list[tuple[int, ...]]:
-    """All partitions of k as descending tuples, in descending lex order."""
-    if k == 0:
-        return [()]
-    out = []
-
-    def extend(remaining, bound, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(bound, remaining), 0, -1):
-            prefix.append(part)
-            extend(remaining - part, part, prefix)
-            prefix.pop()
-
-    extend(k, k, [])
-    return out
-
-
 def _factorize(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     d = 2
@@ -95,38 +67,38 @@ def _factorize(n: int) -> dict[int, int]:
 def odd_prime_power_multisets(n: int) -> list[tuple[int, ...]]:
     """Multisets of odd prime powers with product n, factors descending.
 
-    Multisets are listed in descending lexicographic order; even n has none,
-    and n = 1 has exactly the empty multiset.
+    One walk over the odd prime powers dividing n, largest first, where each
+    step takes a factor no larger than the last: the multisets come out in
+    descending lexicographic order.  Even n has none, and n = 1 has exactly
+    the empty multiset.
     """
     if n < 1:
         raise ValueError("order must be positive")
-    if n == 1:
-        return [()]
     if n % 2 == 0:
         return []
-    per_prime = []
-    for p, a in sorted(_factorize(n).items()):
-        per_prime.append([tuple(p**e for e in part) for part in _partitions(a)])
-    multisets = []
-    for combo in iter_product(*per_prime):
-        merged = tuple(sorted((q for group in combo for q in group), reverse=True))
-        multisets.append(merged)
-    multisets.sort(reverse=True)
-    return multisets
+    powers = [p**e for p, a in _factorize(n).items() for e in range(1, a + 1)]
+    powers.sort(reverse=True)
+    out = []
+
+    def extend(rest, start, prefix):
+        if rest == 1:
+            out.append(prefix)
+            return
+        for i in range(start, len(powers)):
+            if rest % powers[i] == 0:
+                extend(rest // powers[i], i, prefix + (powers[i],))
+
+    extend(n, 0, ())
+    return out
 
 
 def predicted_count(n: int) -> int:
-    """Number of isomorphism classes of flat connected quandles of order n."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n == 1:
-        return 1
-    if n % 2 == 0:
-        return 0
-    count = 1
-    for a in _factorize(n).values():
-        count *= _partition_count(a)
-    return count
+    """Number of isomorphism classes of flat connected quandles of order n.
+
+    This is the product of p(a), the partitions of each exponent a of an odd
+    n, read off as the length of the list of multisets.
+    """
+    return len(odd_prime_power_multisets(n))
 
 
 def _dihedral_product(factors) -> Quandle:
@@ -147,43 +119,22 @@ def _primary_factors(orders) -> tuple[int, ...]:
     """Primary decomposition of an abelian group, as descending prime powers,
     from the orders of all its elements.
 
-    For each prime p, counting the elements whose order divides p^k
-    determines how many cyclic factors of each p-power order occur.
+    For each p^a exactly dividing the group order, c_k = log_p #{g : ord(g)
+    divides p^k} is the sum of min(k, e) over the cyclic factors Z_{p^e}, so
+    (c_k - c_{k-1}) - (c_{k+1} - c_k) of them have order p^k.  The callers
+    pass the orders of an abelian group.
     """
-    m = len(orders)
-    if m == 1:
-        return ()
-    invariants = []
-    for p, a in sorted(_factorize(m).items()):
-        # exponent_counts[k] = log_p #{g : g^(p^k) = e}; strictly increasing
-        # until it reaches the full exponent a of the p-part.
-        exponent_counts = [0]
-        k = 0
-        while exponent_counts[-1] < a:
-            k += 1
-            assert k <= a, "order statistics failed to saturate"
-            pk = p**k
-            c = sum(1 for o in orders if pk % o == 0)
-            e = 0
-            while p**e < c:
+    factors = []
+    for p, a in _factorize(len(orders)).items():
+        c = []
+        for k in range(a + 2):
+            count, e = sum(1 for o in orders if p**k % o == 0), 0
+            while e < a and p ** (e + 1) <= count:
                 e += 1
-            assert p**e == c, "solution count is not a power of p"
-            exponent_counts.append(e)
-        # at_least[j] = number of cyclic factors Z_{p^i} with i >= j
-        at_least = [
-            exponent_counts[j] - exponent_counts[j - 1]
-            for j in range(1, len(exponent_counts))
-        ]
-        for j, count in enumerate(at_least, start=1):
-            above = at_least[j] if j < len(at_least) else 0
-            invariants.extend([p**j] * (count - above))
-    invariants.sort(reverse=True)
-    result = tuple(invariants)
-    prod = 1
-    for q in result:
-        prod *= q
-    assert prod == m, "invariant factors do not multiply to the group order"
-    return result
+            c.append(e)
+        for k in range(1, a + 1):
+            factors += [p**k] * (2 * c[k] - c[k - 1] - c[k + 1])
+    return tuple(sorted(factors, reverse=True))
 
 
 def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:

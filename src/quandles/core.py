@@ -229,8 +229,11 @@ def parse_quandle_json(text: str) -> list[list[int]]:
     table = obj["table"]
     if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
         raise FormatError("'table' must be a list of rows")
-    if "n" in obj and obj["n"] != len(table):
-        raise FormatError(f"'n' is {obj['n']} but table has {len(table)} rows")
+    n = obj.get("n", len(table))
+    if type(n) is not int:
+        raise FormatError(f"'n' must be an integer, not {n!r}")
+    if n != len(table):
+        raise FormatError(f"'n' is {n} but table has {len(table)} rows")
     return table
 
 

@@ -32,18 +32,13 @@ class BudgetExceededError(RuntimeError):
 
 
 def _row_candidates(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """For each x, all permutations fixing x, in lexicographic order."""
-    out = []
-    for x in range(n):
-        others = [i for i in range(n) if i != x]
-        rows = []
-        for images in permutations(others):
-            row = list(images)
-            row.insert(x, x)
-            rows.append(tuple(row))
-        rows.sort()
-        out.append(tuple(rows))
-    return out
+    """For each x, all permutations fixing x, in lexicographic order: the
+    permutations of the other points come in that order, and inserting x at
+    index x keeps it."""
+    return [
+        tuple(p[:x] + (x,) + p[x:] for p in permutations([i for i in range(n) if i != x]))
+        for x in range(n)
+    ]
 
 
 def enumerate_quandles(n: int, budget: int | None = None, max_order: int | None = None):
@@ -52,7 +47,8 @@ def enumerate_quandles(n: int, budget: int | None = None, max_order: int | None 
     `budget` bounds the number of row assignments tried; exhausting it raises
     BudgetExceededError mid-stream.  Orders above `max_order` (default 6) are
     refused up front: the search is exponential and larger orders are the
-    domain of specialized census methods.
+    domain of specialized census methods.  Candidates fix x and every placed
+    pair checks or forces the third axiom, so tables are not checked again.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -78,7 +74,7 @@ def enumerate_quandles(n: int, budget: int | None = None, max_order: int | None 
     def assign(k: int):
         nonlocal nodes
         if k == n:
-            yield Quandle(list(rows))
+            yield Quandle(tuple(rows), _trusted=True)
             return
         pool = (forced[k],) if forced[k] is not None else candidates[k]
         for cand in pool:

@@ -61,14 +61,6 @@ def cycle_lengths(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _cycle_through_0(p: Perm) -> int:
-    """Length of the cycle of p through the point 0."""
-    length, x = 1, p[0]
-    while x:
-        length, x = length + 1, p[x]
-    return length
-
-
 def _regular_orders(perms, base: int) -> list[int]:
     """Element orders of a regular group listed as perms[x], the element
     sending `base` to x, returned in the same order.  The k-th point of the

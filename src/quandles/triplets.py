@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .analysis import _displacement_generators
 from .core import Quandle, _check_shape, _preserves, _product_table
-from .perms import PermutationGroup, _cycle_through_0, closure, compose, inverse, is_perm, orbit
+from .perms import PermutationGroup, closure, compose, inverse, is_perm, orbit, perm_order
 
 # The derivation builds the |G|^2 table of G; at 2,520 elements that takes
 # about 11 s, so the default group is closed with this cap.
@@ -124,8 +124,8 @@ def _indexed_group(perms):
 
 
 def element_order(G: FiniteGroup, g: int) -> int:
-    """The order of g: row g maps h to gh, so each of its cycles has length ord(g)."""
-    return _cycle_through_0(G.mul[g])
+    """The order of g: row g maps h to gh, so every cycle of the row has length ord(g)."""
+    return perm_order(G.mul[g])
 
 
 def is_abelian_group(G: FiniteGroup) -> bool:
@@ -170,13 +170,9 @@ def validate_triplet(G: FiniteGroup, subgroup, sigma) -> list[TripletViolation]:
     """Axiom-level verdict for (G, K, sigma); structural nonsense raises instead."""
     K = tuple(subgroup)
     sig = tuple(sigma)
-    if not all(
-        isinstance(k, int) and 0 <= k < G.order for k in K
-    ) or len(set(K)) != len(K):
+    if not all(type(k) is int and 0 <= k < G.order for k in K) or len(set(K)) != len(K):
         raise ValueError("subgroup must be a set of element indices")
-    if len(sig) != G.order or not all(
-        isinstance(v, int) and 0 <= v < G.order for v in sig
-    ):
+    if len(sig) != G.order or not all(type(v) is int and 0 <= v < G.order for v in sig):
         raise ValueError("sigma must map each element index to an element index")
     violations = []
     if not is_subgroup(G, K):
@@ -378,9 +374,7 @@ def parse_triplet(obj) -> QuandleTriplet:
         raise ValueError("expected a JSON object describing a triplet")
     if "cyclic_factors" in obj:
         factors = obj["cyclic_factors"]
-        if not isinstance(factors, list) or not all(
-            isinstance(q, int) and q >= 1 for q in factors
-        ):
+        if not isinstance(factors, list) or not all(type(q) is int and q >= 1 for q in factors):
             raise ValueError("'cyclic_factors' must be a list of positive integers")
         if obj.get("K", "trivial") != "trivial":
             raise ValueError("shorthand triplets only support K = \"trivial\"")
@@ -397,6 +391,6 @@ def parse_triplet(obj) -> QuandleTriplet:
         if not isinstance(obj[key], list):
             raise ValueError(f"{key!r} must be a list")
     G = FiniteGroup(mul)
-    if "order" in obj and obj["order"] != G.order:
-        raise ValueError(f"'order' is {obj['order']} but table has {G.order} rows")
+    if "order" in obj and (type(obj["order"]) is not int or obj["order"] != G.order):
+        raise ValueError(f"'order' is {obj['order']!r} but table has {G.order} rows")
     return QuandleTriplet(G, tuple(obj["K"]), tuple(obj["sigma"]))

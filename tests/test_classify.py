@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -58,6 +59,39 @@ def test_abelian_invariants_identify_the_group():
         )
 
 
+def _prime_exponents(m):
+    """{p: a} for each p^a exactly dividing m, by trial division."""
+    out, p = {}, 2
+    while p * p <= m:
+        while m % p == 0:
+            m //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _prime_power_parts(m):
+    return [p**a for p, a in _prime_exponents(m).items()]
+
+
+def test_abelian_invariants_of_three_cyclic_factors():
+    Z = {m: FiniteGroup.cyclic(m) for m in range(1, 201)}
+    for a in range(1, 201):
+        for b in range(a, 201):
+            if a * b * b > 200:
+                break
+            ZaZb = FiniteGroup.direct(Z[a], Z[b])
+            for c in range(b, 200 // (a * b) + 1):
+                G = FiniteGroup.direct(ZaZb, Z[c])
+                expected = sorted(
+                    _prime_power_parts(a) + _prime_power_parts(b) + _prime_power_parts(c),
+                    reverse=True,
+                )
+                assert abelian_invariants(G) == tuple(expected), (a, b, c)
+
+
 def test_abelian_invariants_reject_nonabelian():
     from quandles import closure
 
@@ -77,6 +111,40 @@ def test_predicted_count():
     assert all(predicted_count(n) == 0 for n in range(2, 30, 2))
     with pytest.raises(ValueError):
         predicted_count(0)
+
+
+def _partition_numbers(k):
+    """p(0..k) by Euler's pentagonal number recurrence."""
+    p = [1]
+    for m in range(1, k + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= m:
+                    total += sign * p[m - g]
+            j += 1
+        p.append(total)
+    return p
+
+
+def test_predicted_count_is_a_product_of_partition_numbers():
+    p = _partition_numbers(20)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[20] == 627
+    for n in range(1, 20001):
+        expected = 0
+        if n % 2:
+            expected = math.prod(p[a] for a in _prime_exponents(n).values())
+        assert predicted_count(n) == expected, n
+
+
+def test_odd_prime_power_multisets_are_distinct_descending_factorizations():
+    for n in range(1, 20001, 2):
+        multisets = odd_prime_power_multisets(n)
+        assert len(set(multisets)) == len(multisets), n
+        for ms in multisets:
+            assert math.prod(ms) == n and list(ms) == sorted(ms, reverse=True), (n, ms)
+            assert all(q % 2 and len(_prime_exponents(q)) == 1 for q in ms), (n, ms)
 
 
 def test_odd_prime_power_multisets_order():

@@ -16,6 +16,7 @@ from quandles import (
     dihedral_quandle,
     direct_product,
     dumps_quandle,
+    enumerate_quandles,
     find_isomorphism,
     parse_quandle,
     parse_quandle_json,
@@ -209,8 +210,8 @@ def test_direct_product_cardinality_and_validity():
 
 def test_trusted_constructions_store_checked_shapes():
     # trivial_quandle, dihedral_quandle, direct_product, the FiniteGroup
-    # builders and quandle_from_triplet skip the shape check, so their tables
-    # must be exactly what the check would return.
+    # builders, quandle_from_triplet and enumerate_quandles skip the shape
+    # check, so their tables must be exactly what the check would return.
     base = [trivial_quandle(n) for n in range(1, 13)]
     base += [dihedral_quandle(n) for n in range(1, 41)]
     built = base + [direct_product(X, affine5()) for X in base]
@@ -226,6 +227,7 @@ def test_trusted_constructions_store_checked_shapes():
         quandle_from_triplet(abelian_negation_triplet(factors)).quandle.table
         for factors in ([2], [9], [3, 5], [4, 9])
     ]
+    tables += [X.table for n in range(1, 5) for X in enumerate_quandles(n)]
     for table in tables:
         assert type(table) is tuple
         assert all(type(row) is tuple for row in table)
@@ -287,3 +289,10 @@ def test_json_parser_diagnostics():
         parse_quandle_json('{"n": 3, "table": [[0, 1], [0, 1]]}')
     with pytest.raises(FormatError):
         parse_quandle_json('[1, 2, 3]')
+    for text in (
+        '{"n": true, "table": [[0]]}',
+        '{"n": 2.0, "table": [[0, 1], [0, 1]]}',
+        '{"n": "2", "table": [[0, 1], [0, 1]]}',
+    ):
+        with pytest.raises(FormatError, match="'n' must be an integer"):
+            parse_quandle_json(text)

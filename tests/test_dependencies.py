@@ -1,4 +1,5 @@
-"""The package is pure Python with no runtime dependencies."""
+"""The package is pure Python with no runtime dependencies, and its checks
+raise rather than assert."""
 
 import ast
 import sys
@@ -24,3 +25,15 @@ def test_package_imports_only_the_standard_library():
                 if top != "__future__" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert outside == []
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts: a check that matters must raise, and a
+    # self-test belongs in the tests.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

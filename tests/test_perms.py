@@ -31,7 +31,7 @@ from quandles import (
     trivial_quandle,
 )
 from quandles.analysis import _flat_connected_dis
-from quandles.perms import _cycle_through_0, _regular_orders
+from quandles.perms import _regular_orders
 
 perms_of_4 = st.permutations(range(4)).map(tuple)
 
@@ -180,7 +180,7 @@ def test_regular_orders_match_cycles_through_0():
             for X in (rep, relabeled(rep, rng)):
                 dis = _flat_connected_dis(X)
                 assert [g[0] for g in dis.elements] == list(range(n))
-                expected = [_cycle_through_0(g) for g in dis.elements]
+                expected = [perm_order(g) for g in dis.elements]
                 assert _regular_orders(dis.elements, 0) == expected, X.table
 
 

@@ -495,3 +495,13 @@ def test_parse_triplet_errors():
     for K in ([[0]], [0, "a"]):
         with pytest.raises(ValueError, match="subgroup must be a set"):
             parse_triplet({"mul": [[0, 1], [1, 0]], "K": K, "sigma": [0, 1]})
+    with pytest.raises(ValueError, match="subgroup must be a set"):
+        parse_triplet({"mul": [[0]], "K": [False], "sigma": [0]})
+    with pytest.raises(ValueError, match="sigma must map"):
+        parse_triplet({"mul": [[0]], "K": [0], "sigma": [False]})
+    for order in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="'order'"):
+            parse_triplet({"order": order, "mul": [[0]], "K": [0], "sigma": [0]})
+    for factors in ([True, 3], [3.0]):
+        with pytest.raises(ValueError, match="'cyclic_factors'"):
+            parse_triplet({"cyclic_factors": factors})
