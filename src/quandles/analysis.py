@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import Quandle
 from .isomorphism import _search
 from .perms import (
-    ClosureLimitError, PermutationGroup, _commute, closure, compose, identity_perm, is_abelian, orbit
+    PermutationGroup, _commute, closure, compose, identity_perm, is_abelian, is_perm, orbit
 )
 
 
@@ -33,14 +33,38 @@ def displacement_group(X: Quandle) -> PermutationGroup:
     return closure(_displacement_generators(X))
 
 
-def _flat_connected_dis(X: Quandle) -> PermutationGroup | None:
-    """Dis of a connected X if it is commutative, else None.  That Dis is
-    transitive, and a transitive abelian group is regular: n elements, the cap."""
-    try:
-        dis = closure(_displacement_generators(X), cap=X.n)
-    except ClosureLimitError:
-        return None
-    return dis if is_abelian(dis) else None
+def _flat_connected_dis(X: Quandle) -> list | None:
+    """Dis of a connected X listed by where it sends 0, if it is commutative;
+    else None.
+
+    That Dis is transitive, and a transitive abelian group is regular, so each
+    element is named by its image of 0 and a dict keyed by it lists the group
+    H closed so far.  A generator listed under its image of 0 is in H; any
+    other must commute with the generators kept, and adds the cosets H.g^i
+    until g^i is listed.  Two different elements that agree at 0 show that Dis
+    is not regular, so it is not commutative unless X is not a quandle: all
+    the generators are compared to tell.  An abelian Dis that is not regular,
+    which no quandle has, gives an empty list.
+    """
+    gens = _displacement_generators(X)
+    dis, kept = {0: identity_perm(X.n)}, []
+    for g in gens:
+        if dis.get(g[0]) == g:
+            continue
+        if not is_perm(g, X.n):
+            raise ValueError(f"not a permutation of degree {X.n}: {g}")
+        if any(compose(g, k) != compose(k, g) for k in kept):
+            return None
+        kept.append(g)
+        subgroup, p = list(dis.values()), g
+        while dis.get(p[0]) != p:
+            for h in subgroup:
+                q = compose(h, p)
+                if q[0] in dis:
+                    return [] if _commute(set(gens)) else None
+                dis[q[0]] = q
+            p = compose(g, p)
+    return [dis[x] for x in range(X.n)] if len(dis) == X.n else []
 
 
 def is_connected(X: Quandle) -> bool:
@@ -49,8 +73,8 @@ def is_connected(X: Quandle) -> bool:
 
 
 def is_flat(X: Quandle) -> bool:
-    """True iff the displacement group is commutative: closed with a cap of n
-    if X is connected, else by its n generators s_x . s_0 commuting pairwise."""
+    """True iff the displacement group is commutative: listed by the images of
+    0 if X is connected, else by its n generators s_x . s_0 commuting pairwise."""
     if is_connected(X):
         return _flat_connected_dis(X) is not None
     return _commute(set(_displacement_generators(X)))

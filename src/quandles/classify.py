@@ -5,9 +5,9 @@ sizes are odd prime powers, namely the primary decomposition of its (abelian)
 displacement group.  `classify_flat_connected` gets that group from the
 flatness check in `analysis`, reads the factors off its element orders, and
 certifies them by an isomorphism onto the predicted product.  That Dis acts
-regularly, so its element sending 0 to x is named by x, and the orders come
-from one walk from 0 per cyclic subgroup; one counting rule turns the
-orders into the factors.  `odd_prime_power_multisets` lists the
+regularly, so the flatness check lists it by where each element sends 0, and
+the orders come from one walk from 0 per cyclic subgroup; one counting rule
+turns the orders into the factors.  `odd_prime_power_multisets` lists the
 factorizations of an order in one recursion, and `predicted_count` and
 `build_representatives` read off that list.  Nothing is cached between calls.
 """
@@ -151,13 +151,12 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     X must be a quandle; raw tables are validated by `as_quandle` or
     `load_quandle`.  Connectivity and flatness are verified, not assumed: a
     disconnected or non-flat quandle is an error naming the failed
-    certificate.  Flatness comes from `_flat_connected_dis`, which closes Dis
-    with a cap of n elements, the order of a flat one.  A transitive abelian
-    group is regular: an O(n) guard checks that Dis has n elements and sends
-    0 to n distinct points, which only a table that breaks the axioms can
-    fail.  Its elements, sorted lexicographically, are then indexed by the
-    image of 0, and `_regular_orders` reads their orders off one walk from 0
-    per cyclic subgroup; the factors are the primary decomposition.  The
+    certificate.  Flatness comes from `_flat_connected_dis`, which lists Dis
+    by the images of 0: a transitive abelian group is regular, so element x is
+    the one sending 0 to x, and a Dis that is abelian but not regular, which
+    only a table that breaks the axioms can have, comes back empty.
+    `_regular_orders` reads the orders of the elements off one walk from 0 per
+    cyclic subgroup; the factors are the primary decomposition.  The
     isomorphism witness onto the dihedral product of the factors is the one
     certificate: it satisfies the homomorphism equation on all n^2 pairs, so
     it also certifies that X satisfies the axioms and that the factors are
@@ -169,11 +168,9 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     dis = _flat_connected_dis(X)
     if dis is None:
         raise ClassificationError("not-flat", f"order-{X.n} quandle has a non-commutative displacement group")
-    if len(dis) != X.n or len({g[0] for g in dis}) != X.n:
-        raise TheoremViolationError(
-            f"displacement group of order {len(dis)} does not act regularly: {X.table}"
-        )
-    factors = _primary_factors(_regular_orders(dis.elements, 0))
+    if not dis:
+        raise TheoremViolationError(f"abelian displacement group does not act regularly: {X.table}")
+    factors = _primary_factors(_regular_orders(dis, 0))
     witness = find_isomorphism(X, _dihedral_product(factors))
     if witness is None:
         raise TheoremViolationError(

@@ -32,18 +32,28 @@ def _point_profiles(X: Quandle) -> list:
     Isomorphisms match points with equal profiles.  A row g is an automorphism:
     s_g(y) = g s_y g^-1, s_g(x)(g(y)) = g(s_x(y)) and s_g(x) . s_g(y) =
     g (s_x . s_y) g^-1, so a profile is constant on an inner orbit and is
-    computed once per orbit, in n compositions.
+    computed once per orbit.  With g = s_y this says s_{s_y(x)} . s_y =
+    s_y (s_x . s_y) s_y^-1, so the order of s_x . s_y is computed once per
+    cycle of s_y.
     """
     rows = X.table
     profiles = [None] * X.n
     for y, ry in enumerate(rows):
         if profiles[y] is None:
+            orders, seen = [], [False] * X.n
+            for x, rx in enumerate(rows):
+                if not seen[x]:
+                    order, z = perm_order(compose(rx, ry)), x
+                    while not seen[z]:
+                        seen[z] = True
+                        orders.append(order)
+                        z = ry[z]
             orb = orbit(rows, y)
             profile = (
                 len(orb),
                 cycle_lengths(ry),
                 sum(r[y] == y for r in rows),
-                tuple(sorted(perm_order(compose(rx, ry)) for rx in rows)),
+                tuple(sorted(orders)),
             )
             for z in orb:
                 profiles[z] = profile

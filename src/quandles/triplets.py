@@ -12,6 +12,7 @@ the symmetry there.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .analysis import _displacement_generators
@@ -21,6 +22,19 @@ from .perms import PermutationGroup, closure, compose, inverse, is_perm, orbit, 
 # The derivation builds the |G|^2 table of G; at 2,520 elements that takes
 # about 11 s, so the default group is closed with this cap.
 _GROUP_CAP = 1000
+
+
+def _first_index(seq, value, accept) -> int:
+    """The first i with seq[i] == value and accept(i), or -1: each candidate
+    is found by a C-speed `index` scan, and a group table has one per line."""
+    i = -1
+    try:
+        while True:
+            i = seq.index(value, i + 1)
+            if accept(i):
+                return i
+    except ValueError:
+        return -1
 
 
 class FiniteGroup:
@@ -41,20 +55,14 @@ class FiniteGroup:
     def __init__(self, mul, *, _trusted: bool = False):
         rows = mul if _trusted else _check_shape(mul)
         m = len(rows)
-        identity = None
-        for e in range(m):
-            if all(rows[e][g] == g and rows[g][e] == g for g in range(m)):
-                identity = e
-                break
-        if identity is None:
+        ident = tuple(range(m))
+        identity = _first_index(rows, ident, lambda e: tuple(map(itemgetter(e), rows)) == ident)
+        if identity < 0:
             raise ValueError("table has no identity element")
-        inv = [None] * m
-        for g in range(m):
-            for h in range(m):
-                if rows[g][h] == identity and rows[h][g] == identity:
-                    inv[g] = h
-                    break
-            if inv[g] is None:
+        inv = []
+        for g, row in enumerate(rows):
+            inv.append(_first_index(row, identity, lambda h: rows[h][g] == identity))
+            if inv[g] < 0:
                 raise ValueError(f"element {g} has no inverse")
         if not _trusted:
             for a, ra in enumerate(rows):

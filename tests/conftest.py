@@ -1,8 +1,16 @@
 """Shared constructions for the test suite."""
 
-from itertools import combinations, permutations
+import random
+from itertools import combinations, permutations, product
 
-from quandles import Quandle, dihedral_quandle, direct_product, trivial_quandle
+from quandles import (
+    Quandle,
+    build_representatives,
+    dihedral_quandle,
+    direct_product,
+    enumerate_quandles,
+    trivial_quandle,
+)
 
 
 def affine_quandle(n: int, t: int) -> Quandle:
@@ -71,4 +79,39 @@ def small_corpus() -> list[Quandle]:
     quandles.append(direct_product(dihedral_quandle(3), trivial_quandle(2)))
     quandles.append(affine5())
     quandles.append(pinned_point_quandle())
+    return quandles
+
+
+def connected_affine_quandles(p: int) -> list[Quandle]:
+    """Every Aff(A, s): s_x(y) = s(y) + (1 - s)(x), for A = Z_p, Z_{p^2} or
+    F_p^2 and s and 1 - s invertible.  These are all the connected quandles
+    of orders p and p^2 (Etingof, Soloviev and Guralnick 2001; Grana 2004)."""
+    quandles = [
+        affine_quandle(n, t) for n in (p, p * p) for t in range(n) if t % p and (1 - t) % p
+    ]
+    points = list(product(range(p), repeat=2))  # (u, v) is the point u*p + v
+    for a, b, c, d in product(range(p), repeat=4):
+        if (a * d - b * c) % p and ((1 - a) * (1 - d) - b * c) % p:
+            quandles.append(Quandle([
+                [
+                    (a * (y0 - x0) + b * (y1 - x1) + x0) % p * p
+                    + (c * (y0 - x0) + d * (y1 - x1) + x1) % p
+                    for y0, y1 in points
+                ]
+                for x0, x1 in points
+            ]))
+    return quandles
+
+
+def oracle_corpus() -> list[Quandle]:
+    """Inputs on which the fast paths are checked against their definitions:
+    all 447 labelled quandles of order at most 5, the transposition quandles
+    of S_2..S_7, the connected affine quandles of orders 3, 9, 5 and 25, and one
+    seeded relabelling of each representative of odd order at most 105."""
+    quandles = [X for n in range(1, 6) for X in enumerate_quandles(n)]
+    assert len(quandles) == 1 + 1 + 5 + 36 + 404
+    quandles += [transposition_quandle(m) for m in range(2, 8)]
+    quandles += connected_affine_quandles(3) + connected_affine_quandles(5)
+    rng = random.Random(0)
+    quandles += [relabeled(rep, rng) for n in range(1, 106, 2) for rep in build_representatives(n)]
     return quandles

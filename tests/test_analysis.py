@@ -5,6 +5,7 @@ from functools import reduce
 from conftest import (
     affine5,
     affine_quandle,
+    oracle_corpus,
     pinned_point_quandle,
     relabeled,
     small_corpus,
@@ -27,6 +28,7 @@ from quandles import (
     is_involutive,
     trivial_quandle,
 )
+from quandles.analysis import _flat_connected_dis
 from quandles.perms import compose, inverse, is_abelian, is_transitive
 
 
@@ -260,3 +262,35 @@ def test_repeated_calls_keep_no_quandle_alive():
         assert analyze(Y)["flat"] and is_flat(Y)
     del Y
     assert sum(isinstance(o, Quandle) for o in gc.get_objects()) <= before
+
+
+def test_flat_connected_dis_matches_the_closed_displacement_group():
+    # An abelian Dis of a connected quandle is regular, so its sorted element
+    # list is the list by images of 0; otherwise there is nothing to list.
+    flat = non_flat = 0
+    for X in oracle_corpus():
+        if not is_connected(X):
+            continue
+        dis = displacement_group(X)
+        if all(compose(g, h) == compose(h, g) for g in dis for h in dis):
+            assert _flat_connected_dis(X) == list(dis.elements), X.table
+            flat += 1
+        else:
+            assert _flat_connected_dis(X) is None, X.table
+            non_flat += 1
+    assert (flat, non_flat) == (82, 426)
+
+
+def test_flat_connected_dis_refuses_a_regular_non_abelian_group():
+    # The rows are the left multiplications of S_3 = {a^i b^j} on itself:
+    # Dis is S_3 acting regularly, so no two of its elements agree at 0.  The
+    # first generator lists <a>, the next one outside it is b, and its cosets
+    # fill the list; only the commute check shows that Dis is not abelian.
+    # Not a quandle, but `Quandle` checks only the shape.
+    e, a, b = (0, 1, 2), (1, 2, 0), (0, 2, 1)
+    powers = [e, a, compose(a, a)]
+    S3 = powers + [compose(p, b) for p in powers]
+    index = {p: i for i, p in enumerate(S3)}
+    X = Quandle([[index[compose(p, q)] for q in S3] for p in S3])
+    assert is_connected(X) and len(displacement_group(X)) == 6
+    assert _flat_connected_dis(X) is None and not is_flat(X)

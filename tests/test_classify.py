@@ -4,7 +4,13 @@ from itertools import product
 
 import pytest
 
-from conftest import affine5, affine_quandle, relabeled, transposition_quandle
+from conftest import (
+    affine5,
+    affine_quandle,
+    connected_affine_quandles,
+    relabeled,
+    transposition_quandle,
+)
 from quandles import (
     ClassificationError,
     FiniteGroup,
@@ -227,8 +233,8 @@ def test_classify_rejects_non_flat():
     with pytest.raises(ClassificationError) as exc:
         classify_flat_connected(affine5())
     assert exc.value.certificate == "not-flat"
-    # Connected, with a displacement group of up to 10!/2 elements: the
-    # closure stops at the cap of n elements instead of enumerating it.
+    # Connected, with a displacement group of up to 10!/2 elements: listing
+    # it by the images of 0 stops at the first sign that it is not abelian.
     for m in range(4, 11):
         X = transposition_quandle(m)
         assert validate_quandle(X.table) == []
@@ -252,6 +258,9 @@ def test_classify_never_decomposes_an_invalid_table():
             ):
                 classify_flat_connected(Quandle(table))
     assert invalid == 19693
+    # s_1 . s_0 is not a permutation, so Dis cannot be listed.
+    with pytest.raises(ValueError, match="not a permutation"):
+        classify_flat_connected(Quandle([[0, 2, 1], [0, 1, 1], [1, 0, 2]]))
     # Dis is abelian but has 2 elements, not 3: the cycle of (0)(1 2) through
     # 0 is shorter than its order, so the regularity guard must refuse it.
     with pytest.raises(TheoremViolationError, match="regularly"):
@@ -294,27 +303,6 @@ def test_representatives_pairwise_non_isomorphic_small():
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert find_isomorphism(reps[i], reps[j]) is None
-
-
-def connected_affine_quandles(p: int) -> list[Quandle]:
-    """Every Aff(A, s): s_x(y) = s(y) + (1 - s)(x), for A = Z_p, Z_{p^2} or
-    F_p^2 and s and 1 - s invertible.  These are all the connected quandles
-    of orders p and p^2 (Etingof, Soloviev and Guralnick 2001; Grana 2004)."""
-    quandles = [
-        affine_quandle(n, t) for n in (p, p * p) for t in range(n) if t % p and (1 - t) % p
-    ]
-    points = list(product(range(p), repeat=2))  # (u, v) is the point u*p + v
-    for a, b, c, d in product(range(p), repeat=4):
-        if (a * d - b * c) % p and ((1 - a) * (1 - d) - b * c) % p:
-            quandles.append(Quandle([
-                [
-                    (a * (y0 - x0) + b * (y1 - x1) + x0) % p * p
-                    + (c * (y0 - x0) + d * (y1 - x1) + x1) % p
-                    for y0, y1 in points
-                ]
-                for x0, x1 in points
-            ]))
-    return quandles
 
 
 @pytest.mark.parametrize("p", [3, 5])

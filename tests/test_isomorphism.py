@@ -8,6 +8,7 @@ from conftest import (
     affine5,
     affine_quandle,
     brute_force_automorphisms,
+    oracle_corpus,
     relabeled,
     small_corpus,
     transposition_quandle,
@@ -22,7 +23,8 @@ from quandles import (
     is_homomorphism,
     trivial_quandle,
 )
-from quandles.perms import identity_perm, is_perm
+from quandles.isomorphism import _point_profiles
+from quandles.perms import compose, cycle_lengths, identity_perm, is_perm, orbit, perm_order
 
 
 def test_identity_is_homomorphism():
@@ -174,3 +176,20 @@ def test_search_leaves_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_point_profiles_match_the_all_x_definition():
+    # Each point on its own, and the order of s_x . s_y for every x, not once
+    # per inner orbit and once per cycle of s_y.
+    for X in oracle_corpus():
+        rows = X.table
+        expected = [
+            (
+                len(orbit(rows, y)),
+                cycle_lengths(ry),
+                sum(r[y] == y for r in rows),
+                tuple(sorted(perm_order(compose(rx, ry)) for rx in rows)),
+            )
+            for y, ry in enumerate(rows)
+        ]
+        assert _point_profiles(X) == expected, X.table

@@ -179,9 +179,9 @@ def test_regular_orders_match_cycles_through_0():
         for rep in build_representatives(n):
             for X in (rep, relabeled(rep, rng)):
                 dis = _flat_connected_dis(X)
-                assert [g[0] for g in dis.elements] == list(range(n))
-                expected = [perm_order(g) for g in dis.elements]
-                assert _regular_orders(dis.elements, 0) == expected, X.table
+                assert [g[0] for g in dis] == list(range(n))
+                expected = [perm_order(g) for g in dis]
+                assert _regular_orders(dis, 0) == expected, X.table
 
 
 def test_regular_orders_match_element_order():
