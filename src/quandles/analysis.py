@@ -9,6 +9,9 @@ Nothing is cached between calls.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
+
 from .core import Quandle
 from .isomorphism import _search
 from .perms import (
@@ -41,10 +44,12 @@ def _flat_connected_dis(X: Quandle) -> list | None:
     element is named by its image of 0 and a dict keyed by it lists the group
     H closed so far.  A generator listed under its image of 0 is in H; any
     other must commute with the generators kept, and adds the cosets H.g^i
-    until g^i is listed.  Two different elements that agree at 0 show that Dis
-    is not regular, so it is not commutative unless X is not a quandle: all
-    the generators are compared to tell.  An abelian Dis that is not regular,
-    which no quandle has, gives an empty list.
+    until g^i is listed.  A coset H.p holds p itself, and h.p for the other h
+    of H from one getter of p, which also gives the next representative g.p.
+    Two different elements that agree at 0 show that Dis is not regular, so it
+    is not commutative unless X is not a quandle: all the generators are
+    compared to tell.  An abelian Dis that is not regular, which no quandle
+    has, gives an empty list.
     """
     gens = _displacement_generators(X)
     dis, kept = {0: identity_perm(X.n)}, []
@@ -56,14 +61,14 @@ def _flat_connected_dis(X: Quandle) -> list | None:
         if any(compose(g, k) != compose(k, g) for k in kept):
             return None
         kept.append(g)
-        subgroup, p = list(dis.values()), g
+        rest, p = list(dis.values())[1:], g  # H without the identity
         while dis.get(p[0]) != p:
-            for h in subgroup:
-                q = compose(h, p)
+            times_p = itemgetter(*p)  # h -> h . p
+            for q in chain((p,), map(times_p, rest)):
                 if q[0] in dis:
                     return [] if _commute(set(gens)) else None
                 dis[q[0]] = q
-            p = compose(g, p)
+            p = times_p(g)
     return [dis[x] for x in range(X.n)] if len(dis) == X.n else []
 
 

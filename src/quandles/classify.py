@@ -14,6 +14,7 @@ factorizations of an order in one recursion, and `predicted_count` and
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from typing import NamedTuple
 
@@ -122,13 +123,13 @@ def _primary_factors(orders) -> tuple[int, ...]:
     For each p^a exactly dividing the group order, c_k = log_p #{g : ord(g)
     divides p^k} is the sum of min(k, e) over the cyclic factors Z_{p^e}, so
     (c_k - c_{k-1}) - (c_{k+1} - c_k) of them have order p^k.  The callers
-    pass the orders of an abelian group.
+    pass the orders of an abelian group; each distinct order is counted once.
     """
-    factors = []
+    counts, factors = Counter(orders), []
     for p, a in _factorize(len(orders)).items():
         c = []
         for k in range(a + 2):
-            count, e = sum(1 for o in orders if p**k % o == 0), 0
+            count, e = sum(v for o, v in counts.items() if p**k % o == 0), 0
             while e < a and p ** (e + 1) <= count:
                 e += 1
             c.append(e)

@@ -64,16 +64,19 @@ def _product_table(a, b) -> tuple[tuple[int, ...], ...]:
     """Componentwise product of two Cayley tables, pairs flattened row-major:
     (x, y) -> x*len(b) + y.
 
-    Row (x, y) joins the blocks u*m + b[y][v] over v, for u along a[x]; the
-    blocks are built once per y, so the n^2 cells are copied at C speed.
+    Row (x, y) sends u*m + v to a[x][u]*m + b[y][v].  It is the flat row of y,
+    which sends u*m + v to u*m + b[y][v], read at the positions a[x][u]*m + v:
+    one itemgetter call per row, with one getter per x.  The flat row of y
+    joins b[y] read in each block u*m .. u*m + m-1, one getter call per u.
+    So all n^2 cells are copied at C speed.  A one-element b leaves a as it is.
     """
     m = len(b)
-    blocks = [[tuple(u * m + v for v in rb) for u in range(len(a))] for rb in b]
-    return tuple(
-        tuple(chain.from_iterable(map(bl.__getitem__, ra)))
-        for ra in a
-        for bl in blocks
-    )
+    if m == 1:
+        return tuple(a)
+    blocks = [tuple(range(u * m, u * m + m)) for u in range(len(a))]
+    flats = [tuple(chain.from_iterable(map(itemgetter(*rb), blocks))) for rb in b]
+    getters = [itemgetter(*chain.from_iterable(map(blocks.__getitem__, ra))) for ra in a]
+    return tuple(chain.from_iterable(map(get, flats) for get in getters))
 
 
 def _preserves(f, a, b) -> bool:

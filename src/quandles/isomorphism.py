@@ -8,6 +8,8 @@ profile prunes the candidates; it never decides a positive.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .core import Quandle, _preserves
 from .perms import (
     PermutationGroup, compose, cycle_lengths, identity_perm, inverse, orbit, perm_order
@@ -34,24 +36,44 @@ def _point_profiles(X: Quandle) -> list:
     g (s_x . s_y) g^-1, so a profile is constant on an inner orbit and is
     computed once per orbit.  With g = s_y this says s_{s_y(x)} . s_y =
     s_y (s_x . s_y) s_y^-1, so the order of s_x . s_y is computed once per
-    cycle of s_y.
+    cycle of s_y.  With g = d^k for d = s_x . s_y it says s_{d^k(x)} . s_y =
+    d^k s_x d^-k s_y, which is d^(2k+1) when s_x and s_y are both involutions
+    (then d^-1 = s_y s_x, so s_x d^-k s_y = d^(k+1)); without both, d^-k does
+    not fold into powers of d.  So for two involutions one order, ord(d),
+    gives ord(d) / gcd(2k+1, ord(d)) for every point d^k(x) of the cycle of x
+    under d.  s_x is tested only when s_y is an involution and d moves x, so
+    an identity row or a fixed x costs one comparison.
     """
     rows = X.table
+    ident = identity_perm(X.n)
     profiles = [None] * X.n
     for y, ry in enumerate(rows):
         if profiles[y] is None:
+            cycles = cycle_lengths(ry)
+            involutive = cycles[-1] <= 2
             orders, seen = [], [False] * X.n
             for x, rx in enumerate(rows):
-                if not seen[x]:
-                    order, z = perm_order(compose(rx, ry)), x
-                    while not seen[z]:
-                        seen[z] = True
-                        orders.append(order)
-                        z = ry[z]
+                if seen[x]:
+                    continue
+                d = compose(rx, ry)
+                order, z = perm_order(d), x
+                while not seen[z]:
+                    seen[z] = True
+                    orders.append(order)
+                    z = ry[z]
+                if involutive and d[x] != x and compose(rx, rx) == ident:
+                    z, e = d[x], 3  # z = d^k(x) and e = 2k+1
+                    while z != x:
+                        o, w = order // gcd(e, order), z
+                        while not seen[w]:
+                            seen[w] = True
+                            orders.append(o)
+                            w = ry[w]
+                        z, e = d[z], e + 2
             orb = orbit(rows, y)
             profile = (
                 len(orb),
-                cycle_lengths(ry),
+                cycles,
                 sum(r[y] == y for r in rows),
                 tuple(sorted(orders)),
             )

@@ -11,6 +11,7 @@ from quandles import (
     enumerate_quandles,
     trivial_quandle,
 )
+from quandles.perms import compose, cycle_lengths, inverse
 
 
 def affine_quandle(n: int, t: int) -> Quandle:
@@ -48,6 +49,27 @@ def pinned_point_quandle() -> Quandle:
     dihedral part.
     """
     return Quandle([[0, 2, 1, 3], [2, 1, 0, 3], [1, 0, 2, 3], [0, 1, 2, 3]])
+
+
+def disjoint_union(X: Quandle, Y: Quandle) -> Quandle:
+    """X and Y side by side, the points of Y shifted by |X|; each symmetry
+    fixes the other side."""
+    m = X.n
+    return Quandle(
+        [list(rx) + list(range(m, m + Y.n)) for rx in X.table]
+        + [list(range(m)) + [m + v for v in ry] for ry in Y.table]
+    )
+
+
+def conjugation_quandle(m: int, *cycle_types) -> Quandle:
+    """The permutations of S_m with the given cycle types (sorted cycle
+    lengths), with s_a(b) = a b a^-1.  A union of conjugacy classes is closed
+    under conjugation, so this is a quandle."""
+    elements = [p for p in permutations(range(m)) if cycle_lengths(p) in cycle_types]
+    index = {p: i for i, p in enumerate(elements)}
+    return Quandle(
+        [[index[compose(compose(a, b), inverse(a))] for b in elements] for a in elements]
+    )
 
 
 def relabeled(X: Quandle, rng) -> Quandle:

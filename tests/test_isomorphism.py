@@ -8,6 +8,8 @@ from conftest import (
     affine5,
     affine_quandle,
     brute_force_automorphisms,
+    conjugation_quandle,
+    disjoint_union,
     oracle_corpus,
     relabeled,
     small_corpus,
@@ -16,12 +18,14 @@ from conftest import (
 from quandles import (
     analyze,
     automorphism_group,
+    build_representatives,
     dihedral_quandle,
     direct_product,
     find_isomorphism,
     is_homogeneous,
     is_homomorphism,
     trivial_quandle,
+    validate_quandle,
 )
 from quandles.isomorphism import _point_profiles
 from quandles.perms import compose, cycle_lengths, identity_perm, is_perm, orbit, perm_order
@@ -178,18 +182,40 @@ def test_search_leaves_no_garbage_cycles():
         gc.enable()
 
 
-def test_point_profiles_match_the_all_x_definition():
+def _profiles_by_definition(X):
     # Each point on its own, and the order of s_x . s_y for every x, not once
-    # per inner orbit and once per cycle of s_y.
+    # per inner orbit, once per cycle of s_y or once per cycle of s_x . s_y.
+    rows = X.table
+    return [
+        (
+            len(orbit(rows, y)),
+            cycle_lengths(ry),
+            sum(r[y] == y for r in rows),
+            tuple(sorted(perm_order(compose(rx, ry)) for rx in rows)),
+        )
+        for y, ry in enumerate(rows)
+    ]
+
+
+def test_point_profiles_match_the_all_x_definition():
     for X in oracle_corpus():
-        rows = X.table
-        expected = [
-            (
-                len(orbit(rows, y)),
-                cycle_lengths(ry),
-                sum(r[y] == y for r in rows),
-                tuple(sorted(perm_order(compose(rx, ry)) for rx in rows)),
-            )
-            for y, ry in enumerate(rows)
-        ]
-        assert _point_profiles(X) == expected, X.table
+        assert _point_profiles(X) == _profiles_by_definition(X), X.table
+
+
+def test_point_profiles_match_the_definition_on_long_and_mixed_walks():
+    # Orders of s_x . s_y are walked along the cycles of that product when
+    # s_x and s_y are involutions: long walks in R_12, R_7 x T_2 and the
+    # order-81 products; rows only partly involutions in R_9 beside
+    # Aff(Z_7, 3); and in the transpositions and 3-cycles of S_4, a
+    # transposition s_y and a 3-cycle s_x whose product moves x off the
+    # cycle of s_y, where walking without both involutions goes wrong.
+    inputs = [
+        dihedral_quandle(12),
+        direct_product(dihedral_quandle(7), trivial_quandle(2)),
+        disjoint_union(dihedral_quandle(9), affine_quandle(7, 3)),
+        conjugation_quandle(4, (1, 1, 2), (1, 3)),
+        *build_representatives(81),
+    ]
+    for X in inputs:
+        assert validate_quandle(X.table) == []
+        assert _point_profiles(X) == _profiles_by_definition(X), X.table
