@@ -42,34 +42,52 @@ def _flat_connected_dis(X: Quandle) -> list | None:
 
     That Dis is transitive, and a transitive abelian group is regular, so each
     element is named by its image of 0 and a dict keyed by it lists the group
-    H closed so far.  A generator listed under its image of 0 is in H; any
-    other must commute with the generators kept, and adds the cosets H.g^i
-    until g^i is listed.  A coset H.p holds p itself, and h.p for the other h
-    of H from one getter of p, which also gives the next representative g.p.
+    H closed so far.  Only the generators it needs are composed: s_0 . s_0
+    first, then s_x . s_0 for each point x that H does not yet send 0 to,
+    until H sends 0 everywhere.  A generator listed under its image of 0 is in
+    H; any other must commute with the generators kept, and adds the cosets
+    H.g^i until g^i is listed.  A coset H.p holds p itself, and h.p for the
+    other h of H from one getter of p; one getter of g per generator gives the
+    next representative p.g.
+
+    Why H is all of Dis: if s_0 . s_0 is not the identity, it fixes 0, so Dis
+    is not regular.  Otherwise, once H.0 = X, X is connected, so every row is
+    conjugate to s_0 and is an involution.  Let S be 0 and the points x
+    composed: each point of H.0 lies in the subquandle that S generates, so S
+    generates X and the s_a (a in S) generate Inn.  N = <s_a . s_0 : a in S>
+    is H, and it is normal in Inn, since s_0 (s_a . s_0) s_0 = (s_a . s_0)^-1
+    and s_a = (s_a . s_0) s_0.  Every s_a, hence every s_x, is s_0 modulo N,
+    so every s_x . s_y lies in N.
+
     Two different elements that agree at 0 show that Dis is not regular, so it
     is not commutative unless X is not a quandle: all the generators are
     compared to tell.  An abelian Dis that is not regular, which no quandle
     has, gives an empty list.
     """
-    gens = _displacement_generators(X)
-    dis, kept = {0: identity_perm(X.n)}, []
-    for g in gens:
+    n, s0 = X.n, X.table[0]
+    dis, kept = {0: identity_perm(n)}, []
+    for x in range(n):
+        if len(dis) == n:
+            break
+        if x and x in dis:  # s_0 . s_0 is composed though H sends 0 to 0
+            continue
+        g = compose(X.table[x], s0)
         if dis.get(g[0]) == g:
             continue
-        if not is_perm(g, X.n):
-            raise ValueError(f"not a permutation of degree {X.n}: {g}")
+        if not is_perm(g, n):
+            raise ValueError(f"not a permutation of degree {n}: {g}")
         if any(compose(g, k) != compose(k, g) for k in kept):
             return None
         kept.append(g)
-        rest, p = list(dis.values())[1:], g  # H without the identity
+        rest = list(dis.values())[1:]  # H without the identity
+        p, times_g = g, itemgetter(*g)
         while dis.get(p[0]) != p:
-            times_p = itemgetter(*p)  # h -> h . p
-            for q in chain((p,), map(times_p, rest)):
+            for q in chain((p,), map(itemgetter(*p), rest) if rest else ()):  # h -> h . p
                 if q[0] in dis:
-                    return [] if _commute(set(gens)) else None
+                    return [] if _commute(set(_displacement_generators(X))) else None
                 dis[q[0]] = q
-            p = times_p(g)
-    return [dis[x] for x in range(X.n)] if len(dis) == X.n else []
+            p = times_g(p)  # p . g, a power of g
+    return [dis[x] for x in range(n)] if len(dis) == n else []
 
 
 def is_connected(X: Quandle) -> bool:
@@ -79,7 +97,8 @@ def is_connected(X: Quandle) -> bool:
 
 def is_flat(X: Quandle) -> bool:
     """True iff the displacement group is commutative: listed by the images of
-    0 if X is connected, else by its n generators s_x . s_0 commuting pairwise."""
+    0 from only the generators it needs if X is connected, else by its n
+    generators s_x . s_0 commuting pairwise."""
     if is_connected(X):
         return _flat_connected_dis(X) is not None
     return _commute(set(_displacement_generators(X)))

@@ -29,7 +29,7 @@ from quandles import (
     trivial_quandle,
 )
 from quandles.analysis import _flat_connected_dis
-from quandles.perms import compose, inverse, is_abelian, is_transitive
+from quandles.perms import compose, identity_perm, inverse, is_abelian, is_transitive, orbit
 
 
 def test_inner_group_orders():
@@ -294,3 +294,34 @@ def test_flat_connected_dis_refuses_a_regular_non_abelian_group():
     X = Quandle([[index[compose(p, q)] for q in S3] for p in S3])
     assert is_connected(X) and len(displacement_group(X)) == 6
     assert _flat_connected_dis(X) is None and not is_flat(X)
+
+
+def _generating_set(X):
+    # Greedy: 0, then each point outside the subquandle generated so far,
+    # which is the orbit of the chosen points under their own rows.
+    S, reached = [0], orbit([X.table[0]], 0)
+    for x in range(X.n):
+        if x not in reached:
+            S.append(x)
+            rows = [X.table[a] for a in S]
+            reached = set().union(*(orbit(rows, a) for a in S))
+    return S
+
+
+def test_generators_from_a_generating_set_close_dis_when_every_row_is_an_involution():
+    # The rule `_flat_connected_dis` rests on: if every row is an involution
+    # and S contains 0 and generates X, the s_a . s_0 for a in S generate Dis.
+    # The condition is on every row: six disconnected quandles of order 5 have
+    # an involutive s_0 and still break the rule.
+    held = failed = failed_with_involutive_s0 = 0
+    for X in oracle_corpus():
+        ident, s0 = identity_perm(X.n), X.table[0]
+        gens = [compose(X.table[a], s0) for a in _generating_set(X)]
+        ruled = closure(gens).elements == displacement_group(X).elements
+        if all(compose(row, row) == ident for row in X.table):
+            assert ruled, X.table
+            held += 1
+        elif not ruled:
+            failed += 1
+            failed_with_involutive_s0 += compose(s0, s0) == ident
+    assert (held, failed, failed_with_involutive_s0) == (343, 72, 6)
