@@ -3,7 +3,7 @@
 inner_group is generated by the rows; displacement_group by all row pairs
 s_x . s_y.  Each predicate reads the cheapest structure that decides it:
 connectivity the orbit of the rows, flatness commuting generators, and
-homogeneity one automorphism search from 0 into the inner orbits it misses.
+homogeneity the first automorphism from 0 into each inner orbit it misses.
 Nothing is cached between calls.
 """
 
@@ -13,7 +13,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .core import Quandle
-from .isomorphism import _search
+from .isomorphism import _isomorphisms
 from .perms import (
     PermutationGroup, _commute, closure, compose, identity_perm, is_abelian, is_perm, orbit
 )
@@ -114,15 +114,18 @@ def is_homogeneous(X: Quandle) -> bool:
     """True iff the automorphism group acts transitively.
 
     The rows are automorphisms, so Aut covers an inner orbit once it reaches
-    one of its points.  One search asks for an automorphism taking 0 to one
-    point of each inner orbit the orbit of 0 misses; Aut is never built.
+    one of its points.  One search, set up once, takes the first automorphism
+    from 0 into each inner orbit that the orbit of 0 misses; Aut is never built.
     """
     reached, targets = orbit(X.table, 0), []
     for y in range(X.n):
         if y not in reached:
             targets.append(y)
             reached |= orbit(X.table, y)
-    return not targets or len(_search(X, X, find_all=False, images_of_0=targets)) == len(targets)
+    if not targets:
+        return True
+    isomorphisms = _isomorphisms(X, X)
+    return all(next(isomorphisms((y,)), None) is not None for y in targets)
 
 
 def analyze(X: Quandle) -> dict:

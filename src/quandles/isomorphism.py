@@ -1,9 +1,11 @@
 """Quandle homomorphisms, isomorphism search, and automorphism groups.
 
-The search backtracks over partial bijections in generation order: every point
-but a few starts is s_a(b) of two earlier ones, so only the starts branch, over
-candidates in ascending order, and results are deterministic.  A per-point
-profile prunes the candidates; it never decides a positive.
+One lazy search yields the isomorphisms X -> Y one by one, and each caller
+takes what it needs.  It backtracks over partial bijections in generation order
+on an explicit stack, not by recursion: every point but a few starts is s_a(b)
+of two earlier ones, so only the starts branch, over candidates in ascending
+order, and results are deterministic.  A per-point profile prunes the
+candidates; it never decides a positive.
 """
 
 from __future__ import annotations
@@ -102,23 +104,22 @@ def _generation_order(X: Quandle) -> list[int]:
     return order
 
 
-def _search(
-    X: Quandle, Y: Quandle, find_all: bool, images_of_0: list[int] | None = None
-) -> list[tuple[int, ...]]:
-    """Isomorphisms X -> Y: the first one, or all with `find_all`.
+def _isomorphisms(X: Quandle, Y: Quandle):
+    """Set up once, the search for isomorphisms X -> Y: a function of the
+    images to try for f(0), by default all its candidates, that returns a
+    generator of the isomorphisms in search order.
 
     Runs on X relabelled by generation order.  A start tries the points of Y
     with its profile; any other point t is s_a(b) with a, b < t, pinned to
     s_f(a)(f(b)).  Each pair (a, b) is checked once, at the last of a, b and
-    s_a(b), pinning pairs first.  With `images_of_0`, f(0) tries each of them
-    in turn; the result holds the first isomorphism for each, up to the first
-    one with none.
+    s_a(b), pinning pairs first.  The stack holds one iterator over the
+    options of each point assigned so far.
     """
     n = X.n
     px = _point_profiles(X)
     py = px if Y is X else _point_profiles(Y)
     if sorted(px) != sorted(py):
-        return []
+        return lambda images=None: iter(())
     order = _generation_order(X)
     place = inverse(order)
     xt = [[place[X.table[x][y]] for y in order] for x in order]
@@ -136,42 +137,38 @@ def _search(
         [y for y in range(n) if py[y] == px[x]] if pin[k] is None else None
         for k, x in enumerate(order)
     ]
-    first = candidates[0]  # order[0] is 0
-    runs = [first] if images_of_0 is None else [[y] if y in first else [] for y in images_of_0]
-    f = [-1] * n
-    found: list[tuple[int, ...]] = []
 
-    def assign(k: int) -> bool:
-        if k == n:
-            found.append(tuple(f[p] for p in place))
-            return not find_all
-        pair = pin[k]
-        options = candidates[k] if pair is None else (yt[f[pair[0]]][f[pair[1]]],)
-        for c in options:
-            if used[c]:
+    def isomorphisms(images=None):
+        first = candidates[0] if images is None else [y for y in images if y in candidates[0]]
+        f, used, stack = [-1] * n, [False] * n, [iter(first)]
+        while stack:
+            k = len(stack) - 1
+            for c in stack[-1]:
+                if used[c]:
+                    continue
+                f[k] = c
+                for a, b, t in checks[k]:
+                    if yt[f[a]][f[b]] != f[t]:
+                        break
+                else:
+                    break  # c passes every check at k
+            else:  # no option left at k: backtrack
+                stack.pop()
+                if k:
+                    used[f[k - 1]] = False
                 continue
-            f[k] = c
-            for a, b, t in checks[k]:
-                if yt[f[a]][f[b]] != f[t]:
-                    break
-            else:
-                used[c] = True
-                if assign(k + 1):
-                    return True
-                used[c] = False
-        f[k] = -1
-        return False
+            if k + 1 == n:
+                yield tuple(f[p] for p in place)
+                continue  # c is not marked used, so k tries its next option
+            used[c] = True
+            pair = pin[k + 1]
+            stack.append(iter(candidates[k + 1] if pair is None else (yt[f[pair[0]]][f[pair[1]]],)))
 
-    for run in runs:
-        candidates[0], used = run, [False] * n
-        if not assign(0):
-            break
-    del assign  # it refers to itself; without it, only the cyclic collector frees the tables
-    return found
+    return isomorphisms
 
 
 def find_isomorphism(X: Quandle, Y: Quandle):
-    """A bijection witnessing X isomorphic to Y, or None.
+    """The first isomorphism X -> Y that the search yields, or None.
 
     Deterministic: candidates are tried in ascending index order, so X against
     itself always yields the identity.
@@ -180,11 +177,10 @@ def find_isomorphism(X: Quandle, Y: Quandle):
         return None
     if X.table == Y.table:
         return identity_perm(X.n)
-    found = _search(X, Y, find_all=False)
-    return found[0] if found else None
+    return next(_isomorphisms(X, Y)(), None)
 
 
 def automorphism_group(X: Quandle) -> PermutationGroup:
-    """All self-isomorphisms of X.  Contains every row of the table."""
-    autos = sorted(_search(X, X, find_all=True))
+    """Every isomorphism X -> X that the search yields; contains every row."""
+    autos = sorted(_isomorphisms(X, X)())
     return PermutationGroup(X.n, autos, autos)

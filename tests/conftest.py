@@ -125,13 +125,19 @@ def connected_affine_quandles(p: int) -> list[Quandle]:
     return quandles
 
 
+def labelled_quandles_to_order_5() -> list[Quandle]:
+    """All 447 labelled quandles of order at most 5, enumerated."""
+    quandles = [X for n in range(1, 6) for X in enumerate_quandles(n)]
+    assert len(quandles) == 1 + 1 + 5 + 36 + 404
+    return quandles
+
+
 def oracle_corpus() -> list[Quandle]:
     """Inputs on which the fast paths are checked against their definitions:
     all 447 labelled quandles of order at most 5, the transposition quandles
     of S_2..S_7, the connected affine quandles of orders 3, 9, 5 and 25, and one
     seeded relabelling of each representative of odd order at most 105."""
-    quandles = [X for n in range(1, 6) for X in enumerate_quandles(n)]
-    assert len(quandles) == 1 + 1 + 5 + 36 + 404
+    quandles = labelled_quandles_to_order_5()
     quandles += [transposition_quandle(m) for m in range(2, 8)]
     quandles += connected_affine_quandles(3) + connected_affine_quandles(5)
     rng = random.Random(0)

@@ -5,6 +5,7 @@ from functools import reduce
 from conftest import (
     affine5,
     affine_quandle,
+    labelled_quandles_to_order_5,
     oracle_corpus,
     pinned_point_quandle,
     relabeled,
@@ -20,7 +21,6 @@ from quandles import (
     dihedral_quandle,
     direct_product,
     displacement_group,
-    enumerate_quandles,
     inner_group,
     is_connected,
     is_flat,
@@ -47,14 +47,8 @@ def test_displacement_group_orders():
     assert len(displacement_group(affine5())) == 10
 
 
-def _labelled_quandles_to_order_5():
-    quandles = [X for n in range(1, 6) for X in enumerate_quandles(n)]
-    assert len(quandles) == 1 + 1 + 5 + 36 + 404
-    return quandles
-
-
 def test_displacement_group_from_n_generators_matches_all_pairs():
-    quandles = _labelled_quandles_to_order_5()
+    quandles = labelled_quandles_to_order_5()
     quandles += [affine_quandle(p, t) for p, t in ((5, 2), (7, 3), (11, 2), (13, 2))]
     quandles += [transposition_quandle(m) for m in range(2, 8)]
     for X in quandles:
@@ -135,7 +129,7 @@ def test_homogeneous_matches_automorphism_group_oracle():
         direct_product(dihedral_quandle(m), trivial_quandle(k))
         for m, k in ((3, 2), (3, 3), (5, 2))
     ]
-    for X in _labelled_quandles_to_order_5() + others:
+    for X in labelled_quandles_to_order_5() + others:
         assert is_homogeneous(X) == is_transitive(automorphism_group(X))
 
 

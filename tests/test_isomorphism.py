@@ -1,16 +1,22 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 
 import pytest
 
+import quandles
 from conftest import (
     affine5,
     affine_quandle,
     brute_force_automorphisms,
     conjugation_quandle,
     disjoint_union,
+    labelled_quandles_to_order_5,
     oracle_corpus,
+    pinned_point_quandle,
     relabeled,
     small_corpus,
     transposition_quandle,
@@ -122,13 +128,13 @@ def test_automorphism_group_sizes():
 
 
 def test_automorphism_group_matches_brute_force():
-    for X in (
+    for X in labelled_quandles_to_order_5() + [
         dihedral_quandle(5),
         dihedral_quandle(6),
         trivial_quandle(4),
         affine5(),
         direct_product(dihedral_quandle(3), trivial_quandle(2)),
-    ):
+    ]:
         assert list(automorphism_group(X).elements) == brute_force_automorphisms(X)
 
 
@@ -168,7 +174,9 @@ def test_isomorphism_invariance_of_analysis():
 
 
 def test_search_leaves_no_garbage_cycles():
-    # The search tables must be freed by reference counting alone.
+    # The search tables must be freed by reference counting alone: after a
+    # search run out, one dropped after its first isomorphism (R_9 has 54 to
+    # stop short of), all of Aut(R_9), and a homogeneity search that misses.
     X = dihedral_quandle(9)
     Y = relabeled(X, random.Random(9))
     XT = direct_product(dihedral_quandle(3), trivial_quandle(2))
@@ -176,10 +184,34 @@ def test_search_leaves_no_garbage_cycles():
     gc.disable()
     try:
         assert find_isomorphism(X, Y) is not None
+        assert find_isomorphism(Y, X) is not None
         assert is_homogeneous(XT)
+        assert len(automorphism_group(X)) == 54
+        assert not is_homogeneous(pinned_point_quandle())
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_search_depth_does_not_depend_on_the_recursion_limit():
+    # A search that recursed once per point would need 243 frames; it runs in
+    # a subprocess so that this process keeps its own recursion limit.
+    code = (
+        "import random, sys\n"
+        "from conftest import relabeled\n"
+        "from quandles import dihedral_quandle, find_isomorphism, is_homomorphism\n"
+        "X, Y = relabeled(dihedral_quandle(243), random.Random(243)), dihedral_quandle(243)\n"
+        "sys.setrecursionlimit(150)\n"
+        "w = find_isomorphism(X, Y)\n"
+        "sys.exit(0 if w is not None and is_homomorphism(w, X, Y) else 1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(quandles.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__)])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _profiles_by_definition(X):
