@@ -4,8 +4,11 @@ One lazy search yields the isomorphisms X -> Y one by one, and each caller
 takes what it needs.  It backtracks over partial bijections in generation order
 on an explicit stack, not by recursion: every point but a few starts is s_a(b)
 of two earlier ones, so only the starts branch, over candidates in ascending
-order, and results are deterministic.  A per-point profile prunes the
-candidates; it never decides a positive.
+order, and results are deterministic.  A per-point profile and the cells of
+the starts' rows prune; neither decides a positive.  `_preserves` certifies
+each complete map.  On quandles it never fails: if f preserves the rows a and
+b, it preserves the row s_{s_a(b)} = s_a s_b s_a^-1, so a bijection that
+preserves the rows of the starts preserves every row.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def _point_profiles(X: Quandle) -> list:
     for y, ry in enumerate(rows):
         if profiles[y] is None:
             cycles = cycle_lengths(ry)
-            involutive = cycles[-1] <= 2
+            involutive = compose(ry, ry) == ident  # an involution is a bijection, on any table
             orders, seen = [], [False] * X.n
             for x, rx in enumerate(rows):
                 if seen[x]:
@@ -84,24 +87,27 @@ def _point_profiles(X: Quandle) -> list:
     return profiles
 
 
-def _generation_order(X: Quandle) -> list[int]:
+def _generation_order(X: Quandle) -> tuple[list[int], list]:
     """The points of X from 0: after each point p, the unseen s_p(q) and
     s_q(p) for q up to p; once the points so far are closed, the smallest
-    point not yet reached starts the next run.  Those starts generate X."""
+    point not yet reached starts the next run.  Those starts generate X.
+    Also returns, per point, the (a, b) that placed it as s_a(b), None for a start."""
     rows = X.table
-    order = [0]
+    order, pins = [0], [None] * X.n
     seen = [True] + [False] * (X.n - 1)
     for k, p in enumerate(order):  # grows while it is read
         for q in order[: k + 1]:
-            for r in (rows[p][q], rows[q][p]):
+            for a, b in ((p, q), (q, p)):
+                r = rows[a][b]
                 if not seen[r]:
                     seen[r] = True
                     order.append(r)
+                    pins[r] = (a, b)
         if k + 1 == len(order) < X.n:
             start = seen.index(False)
             seen[start] = True
             order.append(start)
-    return order
+    return order, pins
 
 
 def _isomorphisms(X: Quandle, Y: Quandle):
@@ -109,34 +115,25 @@ def _isomorphisms(X: Quandle, Y: Quandle):
     images to try for f(0), by default all its candidates, that returns a
     generator of the isomorphisms in search order.
 
-    Runs on X relabelled by generation order.  A start tries the points of Y
-    with its profile; any other point t is s_a(b) with a, b < t, pinned to
-    s_f(a)(f(b)).  Each pair (a, b) is checked once, at the last of a, b and
-    s_a(b), pinning pairs first.  The stack holds one iterator over the
-    options of each point assigned so far.
+    Assigns the points of X in generation order.  A start tries the points of
+    Y with its profile; any other point t = s_a(b) is pinned to s_f(a)(f(b)).
+    Only the starts' rows prune, each cell once its three points are assigned.
+    A complete map is yielded only if `_preserves` certifies it, which never
+    fails on quandles (see the module docstring).  The stack holds one
+    iterator over the options of each point assigned so far.
     """
     n = X.n
     px = _point_profiles(X)
     py = px if Y is X else _point_profiles(Y)
     if sorted(px) != sorted(py):
         return lambda images=None: iter(())
-    order = _generation_order(X)
-    place = inverse(order)
-    xt = [[place[X.table[x][y]] for y in order] for x in order]
-    yt = Y.table
+    order, pins = _generation_order(X)
+    xt, yt, level = X.table, Y.table, inverse(order)
+    candidates = {x: [y for y in range(n) if py[y] == px[x]] for x in order if pins[x] is None}
     checks = [[] for _ in range(n)]
-    pin = [None] * n
-    for a in range(n):
+    for a in candidates:
         for b, t in enumerate(xt[a]):
-            if a < t > b:
-                pin[t] = (a, b)
-                checks[t].insert(0, (a, b, t))
-            else:
-                checks[max(a, b)].append((a, b, t))
-    candidates = [
-        [y for y in range(n) if py[y] == px[x]] if pin[k] is None else None
-        for k, x in enumerate(order)
-    ]
+            checks[max(level[a], level[b], level[t])].append((a, b, t))
 
     def isomorphisms(images=None):
         first = candidates[0] if images is None else [y for y in images if y in candidates[0]]
@@ -146,7 +143,7 @@ def _isomorphisms(X: Quandle, Y: Quandle):
             for c in stack[-1]:
                 if used[c]:
                     continue
-                f[k] = c
+                f[order[k]] = c
                 for a, b, t in checks[k]:
                     if yt[f[a]][f[b]] != f[t]:
                         break
@@ -155,14 +152,16 @@ def _isomorphisms(X: Quandle, Y: Quandle):
             else:  # no option left at k: backtrack
                 stack.pop()
                 if k:
-                    used[f[k - 1]] = False
+                    used[f[order[k - 1]]] = False
                 continue
             if k + 1 == n:
-                yield tuple(f[p] for p in place)
+                if _preserves(f, xt, yt):
+                    yield tuple(f)
                 continue  # c is not marked used, so k tries its next option
             used[c] = True
-            pair = pin[k + 1]
-            stack.append(iter(candidates[k + 1] if pair is None else (yt[f[pair[0]]][f[pair[1]]],)))
+            x = order[k + 1]
+            pin = pins[x]
+            stack.append(iter(candidates[x] if pin is None else (yt[f[pin[0]]][f[pin[1]]],)))
 
     return isomorphisms
 

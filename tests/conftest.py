@@ -83,6 +83,14 @@ def relabeled(X: Quandle, rng) -> Quandle:
     return Quandle(table)
 
 
+def every_table(n: int):
+    """Every n x n table with entries in 0..n-1, as a list of row tuples:
+    n^(n^2) of them, so 1, 16 and 19,683 for n = 1, 2, 3.  All have a valid
+    shape, and all but the labelled quandles break an axiom."""
+    for cells in product(range(n), repeat=n * n):
+        yield [cells[x * n : (x + 1) * n] for x in range(n)]
+
+
 def brute_force_automorphisms(X: Quandle) -> list[tuple[int, ...]]:
     """All automorphisms by scanning every one of the n! bijections."""
     n, t = X.n, X.table

@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import product
 
 import pytest
 
@@ -8,6 +7,7 @@ from conftest import (
     affine5,
     affine_quandle,
     connected_affine_quandles,
+    every_table,
     relabeled,
     transposition_quandle,
 )
@@ -248,8 +248,7 @@ def test_classify_never_decomposes_an_invalid_table():
     # certifies the axioms, so every shape-valid non-quandle must raise.
     invalid = 0
     for n in (2, 3):
-        for flat in product(range(n), repeat=n * n):
-            table = [flat[x * n : (x + 1) * n] for x in range(n)]
+        for table in every_table(n):
             if not validate_quandle(table):
                 continue
             invalid += 1

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import affine5
+from conftest import affine5, every_table
 from quandles import (
     FiniteGroup,
     FormatError,
@@ -112,8 +112,7 @@ def perturbed(table, rng) -> list[list[int]]:
 
 
 def test_validate_matches_cell_loops_on_every_3x3_table():
-    for cells in product(range(3), repeat=9):
-        table = [cells[0:3], cells[3:6], cells[6:9]]
+    for table in every_table(3):
         assert validate_quandle(table) == brute_force_violations(table)
 
 

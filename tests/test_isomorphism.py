@@ -1,8 +1,10 @@
 import gc
 import os
 import random
+import signal
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
     brute_force_automorphisms,
     conjugation_quandle,
     disjoint_union,
+    every_table,
     labelled_quandles_to_order_5,
     oracle_corpus,
     pinned_point_quandle,
@@ -22,6 +25,7 @@ from conftest import (
     transposition_quandle,
 )
 from quandles import (
+    Quandle,
     analyze,
     automorphism_group,
     build_representatives,
@@ -33,7 +37,7 @@ from quandles import (
     trivial_quandle,
     validate_quandle,
 )
-from quandles.isomorphism import _point_profiles
+from quandles.isomorphism import _isomorphisms, _point_profiles
 from quandles.perms import compose, cycle_lengths, identity_perm, is_perm, orbit, perm_order
 
 
@@ -191,6 +195,57 @@ def test_search_leaves_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("the call did not return within its bound")
+
+
+def _bounded(call, *args):
+    """call(*args), failing with TimeoutError if it runs past 2 s."""
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        return call(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+
+def test_search_returns_and_yields_only_isomorphisms_on_tables_that_break_the_axioms():
+    # Quandle() checks only the shape, so the search can meet rows that are
+    # not permutations and rows the starts do not determine.  Every call must
+    # return, and every map it yields must be a bijective homomorphism: on
+    # these tables the starts' rows alone admit non-automorphisms, and only
+    # the check of each complete map refuses them.
+    rng = random.Random(0)
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    try:
+        for n in (1, 2, 3):
+            for table in every_table(n):
+                X = Quandle(table)
+                Y = relabeled(X, rng)
+                _bounded(automorphism_group, X)
+                _bounded(is_homogeneous, X)
+                w = _bounded(find_isomorphism, X, Y)
+                assert w is None or (sorted(w) == list(range(n)) and is_homomorphism(w, X, Y))
+                for f in _bounded(lambda: list(_isomorphisms(X, X)())):
+                    assert sorted(f) == list(range(n)) and is_homomorphism(f, X, X), (table, f)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_search_keeps_nothing_of_size_n_squared():
+    # R_729 has 531,441 cells: a relabelled copy of the table, or one entry
+    # per pair of points, would hold tens of MB.
+    Y = dihedral_quandle(729)
+    X = relabeled(Y, random.Random(729))
+    tracemalloc.start()
+    try:
+        w = find_isomorphism(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is not None and is_homomorphism(w, X, Y)
+    assert peak < 5_000_000
 
 
 def test_search_depth_does_not_depend_on_the_recursion_limit():
