@@ -14,6 +14,7 @@ preserves the rows of the starts preserves every row.
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 
 from .core import Quandle, _preserves
 from .perms import (
@@ -47,7 +48,9 @@ def _point_profiles(X: Quandle) -> list:
     not fold into powers of d.  So for two involutions one order, ord(d),
     gives ord(d) / gcd(2k+1, ord(d)) for every point d^k(x) of the cycle of x
     under d.  s_x is tested only when s_y is an involution and d moves x, so
-    an identity row or a fixed x costs one comparison.
+    an identity row or a fixed x costs one comparison.  Each y makes one
+    getter for d, and equal rows s_x give equal d, so ord(d) is memoized per y
+    by the row s_x, which the table holds: the memo adds no tuples.
     """
     rows = X.table
     ident = identity_perm(X.n)
@@ -55,13 +58,16 @@ def _point_profiles(X: Quandle) -> list:
     for y, ry in enumerate(rows):
         if profiles[y] is None:
             cycles = cycle_lengths(ry)
-            involutive = compose(ry, ry) == ident  # an involution is a bijection, on any table
-            orders, seen = [], [False] * X.n
+            after_y = itemgetter(*ry) if X.n > 1 else tuple  # (0,) is the only row of order 1
+            involutive = after_y(ry) == ident  # an involution is a bijection, on any table
+            orders, seen, memo = [], [False] * X.n, {}
             for x, rx in enumerate(rows):
                 if seen[x]:
                     continue
-                d = compose(rx, ry)
-                order, z = perm_order(d), x
+                d, order = after_y(rx), memo.get(rx)
+                if order is None:
+                    order = memo[rx] = 1 if d == ident else perm_order(d)
+                z = x
                 while not seen[z]:
                     seen[z] = True
                     orders.append(order)
@@ -91,7 +97,8 @@ def _generation_order(X: Quandle) -> tuple[list[int], list]:
     """The points of X from 0: after each point p, the unseen s_p(q) and
     s_q(p) for q up to p; once the points so far are closed, the smallest
     point not yet reached starts the next run.  Those starts generate X.
-    Also returns, per point, the (a, b) that placed it as s_a(b), None for a start."""
+    Also returns, per point, the (a, b) that placed it as s_a(b), None for a start.
+    Stops once all n points are placed: later pairs would place nothing."""
     rows = X.table
     order, pins = [0], [None] * X.n
     seen = [True] + [False] * (X.n - 1)
@@ -103,7 +110,9 @@ def _generation_order(X: Quandle) -> tuple[list[int], list]:
                     seen[r] = True
                     order.append(r)
                     pins[r] = (a, b)
-        if k + 1 == len(order) < X.n:
+        if len(order) == X.n:
+            break
+        if k + 1 == len(order):
             start = seen.index(False)
             seen[start] = True
             order.append(start)

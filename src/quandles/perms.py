@@ -120,6 +120,9 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
     A generator already in the group closed so far is skipped, as in Dimino's
     method; the rest, in input order, are checked and kept as `generators`.
     Each at least doubles the group, so at most log2 of its order are kept.
+    Products are taken on the right, h -> h after g, by one getter per kept g.
+    A set holding the identity and closed so is the group generated, so the
+    same generators are kept as with left products.
     `cap` bounds the number of elements and defaults to degree!, the largest
     possible order; exceeding it raises ClosureLimitError.
     """
@@ -131,21 +134,23 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
         cap = math.factorial(degree)
     elements = {identity_perm(degree)}
     kept: list[Perm] = []
+    times: list = []  # times[i](h) = h after kept[i]
     for g in gens:
-        if g in elements:
+        if g in elements:  # so no kept generator has degree below 2
             continue
         if not is_perm(g, degree):
             raise ValueError(f"not a permutation of degree {degree}: {g}")
         kept.append(g)
+        times.append(itemgetter(*g))
         # Every element was already multiplied by the earlier generators; only
         # g is new to them.  Elements found from here on need every generator.
         frontier = list(elements)
-        step = [g]
+        step = times[-1:]
         while frontier:
             new = []
             for h in frontier:
-                for k in step:
-                    p = compose(k, h)
+                for by in step:
+                    p = by(h)
                     if p not in elements:
                         elements.add(p)
                         if len(elements) > cap:
@@ -154,7 +159,7 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
                             )
                         new.append(p)
             frontier = new
-            step = kept
+            step = times
     return PermutationGroup(degree, kept, sorted(elements))
 
 

@@ -37,7 +37,7 @@ from quandles import (
     trivial_quandle,
     validate_quandle,
 )
-from quandles.isomorphism import _isomorphisms, _point_profiles
+from quandles.isomorphism import _generation_order, _isomorphisms, _point_profiles
 from quandles.perms import compose, cycle_lengths, identity_perm, is_perm, orbit, perm_order
 
 
@@ -306,3 +306,49 @@ def test_point_profiles_match_the_definition_on_long_and_mixed_walks():
     for X in inputs:
         assert validate_quandle(X.table) == []
         assert _point_profiles(X) == _profiles_by_definition(X), X.table
+
+
+def test_point_profiles_keep_no_table_sized_memo():
+    # 50 disjoint copies of R_3: 150 points in 50 inner orbits of 3, and each
+    # row fixes the other 49 copies, so many products s_x . s_y are equal.  A
+    # memo keyed by the composed tuple and shared across representatives held
+    # 8.1 MB here; keyed by the row and started afresh per representative it
+    # holds 0.14 MB.
+    X = reduce(disjoint_union, [dihedral_quandle(3)] * 50)
+    assert X.n == 150
+    tracemalloc.start()
+    try:
+        profiles = _point_profiles(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert profiles == _profiles_by_definition(X)
+
+
+def _generation_order_over_every_pair(X):
+    # By the definition: the pairs of every point are scanned, even after
+    # all n points are placed.
+    rows = X.table
+    order, pins = [0], [None] * X.n
+    seen = [True] + [False] * (X.n - 1)
+    for k, p in enumerate(order):
+        for q in order[: k + 1]:
+            for a, b in ((p, q), (q, p)):
+                r = rows[a][b]
+                if not seen[r]:
+                    seen[r] = True
+                    order.append(r)
+                    pins[r] = (a, b)
+        if k + 1 == len(order) < X.n:
+            start = seen.index(False)
+            seen[start] = True
+            order.append(start)
+    return order, pins
+
+
+def test_generation_order_matches_the_scan_of_every_pair():
+    rng = random.Random(16)
+    inputs = [Quandle(table) for n in (1, 2, 3) for table in every_table(n)] + oracle_corpus()
+    for X in inputs + [relabeled(X, rng) for X in inputs]:
+        assert _generation_order(X) == _generation_order_over_every_pair(X), X.table

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import relabeled, transposition_quandle
+from conftest import oracle_corpus, relabeled, transposition_quandle
 from quandles import (
     ClosureLimitError,
     FiniteGroup,
@@ -30,7 +30,7 @@ from quandles import (
     stabilizer,
     trivial_quandle,
 )
-from quandles.analysis import _flat_connected_dis
+from quandles.analysis import _displacement_generators, _flat_connected_dis
 from quandles.perms import _regular_orders
 
 perms_of_4 = st.permutations(range(4)).map(tuple)
@@ -114,6 +114,50 @@ def test_closure_default_cap_is_degree_factorial():
     # S_3 fills the whole symmetric group without tripping the default cap.
     group = closure([(1, 0, 2), (0, 2, 1)])
     assert len(group) == math.factorial(3)
+
+
+def _closure_by_left_products(gens):
+    """Reference closure: breadth-first left products g . h from the identity,
+    started again each time a generator outside the group so far is kept.
+    Returns the sorted elements and the kept generators."""
+    gens = [tuple(g) for g in gens]
+    ident = identity_perm(len(gens[0]))
+    elements, kept = {ident}, []
+    for g in gens:
+        if g in elements:
+            continue
+        kept.append(g)
+        elements, queue = {ident}, deque([ident])
+        while queue:
+            h = queue.popleft()
+            for k in kept:
+                p = compose(k, h)
+                if p not in elements:
+                    elements.add(p)
+                    queue.append(p)
+    return sorted(elements), kept
+
+
+def test_closure_matches_a_left_multiplication_bfs():
+    # Elements are multiplied on the right; the group, the kept generators and
+    # the cap must not depend on the side.  A cap below 1 is left out: the
+    # identity is in the set before anything is counted, and no caller passes
+    # such a cap.
+    inputs = oracle_corpus() + [transposition_quandle(m) for m in range(2, 7)]
+    for X in inputs:
+        for gens in (X.table, _displacement_generators(X)):
+            elements, kept = _closure_by_left_products(gens)
+            group = closure(gens)
+            assert list(group.elements) == elements, X.table
+            assert list(group.generators) == kept, X.table
+            for cap in (len(elements) - 1, len(elements)):
+                if cap < 1:
+                    continue
+                if len(elements) > cap:
+                    with pytest.raises(ClosureLimitError):
+                        closure(gens, cap=cap)
+                else:
+                    assert closure(gens, cap=cap).elements == group.elements
 
 
 def test_closure_idempotent():
