@@ -8,21 +8,19 @@ certifies them by an isomorphism onto the predicted product.  That Dis acts
 regularly, so the flatness check lists it by where each element sends 0, from
 only the generators it needs, and the orders come from one walk from 0 per
 cyclic subgroup; one counting rule turns the orders into the factors.  The
-product is built from its last factor, each earlier one sliced onto it.
-`odd_prime_power_multisets` lists the factorizations of an order in one
-recursion, and `predicted_count` and `build_representatives` read off that
-list.  Nothing is cached between calls.
+product is sliced by `core._cyclic_table`, which builds every cyclic and
+dihedral table.  `odd_prime_power_multisets` lists the factorizations of an
+order in one recursion, and `predicted_count` and `build_representatives`
+read off that list.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
-from operator import add
 from typing import NamedTuple
 
 from .analysis import _flat_connected_dis, is_connected
-from .core import Quandle, dihedral_quandle, trivial_quandle
+from .core import Quandle, _cyclic_table
 from .isomorphism import find_isomorphism
 from .perms import _regular_orders
 from .triplets import FiniteGroup, is_abelian_group
@@ -106,24 +104,8 @@ def predicted_count(n: int) -> int:
 
 
 def _dihedral_product(factors) -> Quandle:
-    """Product of dihedral quandles, built from the last factor: R_k x Y is
-    sliced from the rows of Y, and the empty product is the singleton.
-
-    Row (x, y) of R_k x Y sends u*m + v to (2x - u mod k)*m + Y[y][v], with
-    m = |Y|.  So it is a slice of row y read in blocks w = k-1, ..., 0 (block
-    w is Y[y] shifted by w*m) and run twice, starting at block k-1 - 2x mod
-    k, as `dihedral_quandle` slices one reversed run.
-    """
-    if not factors:
-        return trivial_quandle(1)
-    table = dihedral_quandle(factors[-1]).table
-    for k in reversed(factors[:-1]):
-        m = len(table)
-        shifts = tuple(chain.from_iterable(repeat(w * m, m) for w in range(k - 1, -1, -1)))
-        runs = [tuple(map(add, shifts, row * k)) * 2 for row in table]
-        starts = [(k - 1 - 2 * x % k) * m for x in range(k)]
-        table = tuple(run[i : i + k * m] for i in starts for run in runs)
-    return Quandle(table, _trusted=True)
+    """R_k1 x ... x R_kr, sliced by `_cyclic_table`; () gives the singleton."""
+    return Quandle(_cyclic_table(factors, reflect=True), _trusted=True)
 
 
 def build_representatives(n: int) -> list[Quandle]:

@@ -90,12 +90,10 @@ def _cmd_make(args) -> int:
         if len(params) != 2:
             raise FormatError("make product expects two quandle files")
         X = direct_product(load_quandle(params[0]), load_quandle(params[1]))
-    elif kind == "from-triplet":
+    else:  # "from-triplet": argparse `choices` rejects any other kind
         if len(params) != 1:
             raise FormatError("make from-triplet expects one triplet file")
         X = quandle_from_triplet(_load_triplet(params[0])).quandle
-    else:
-        raise FormatError(f"unknown constructor {kind!r}")
     print(dumps_quandle(X))
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 
@@ -186,13 +186,29 @@ def trivial_quandle(n: int) -> Quandle:
 def dihedral_quandle(n: int) -> Quandle:
     """Z_n with s_x(y) = 2x - y: the n-th roots of unity under point reflection.
 
-    Row x counts down from 2x mod n, so it is a slice of n-1, ..., 0 run twice.
+    Row x counts down from 2x mod n: `_cyclic_table` slices n-1, ..., 0 run twice.
     """
     if n < 1:
         raise ValueError("quandle cardinality must be positive")
-    run = tuple(range(n - 1, -1, -1)) * 2
-    starts = (n - 1 - 2 * x % n for x in range(n))
-    return Quandle(tuple(run[i : i + n] for i in starts), _trusted=True)
+    return Quandle(_cyclic_table((n,), reflect=True), _trusted=True)
+
+
+def _cyclic_table(factors, reflect: bool) -> tuple[tuple[int, ...], ...]:
+    """Table of Z_k1 x ... x Z_kr, or with `reflect` of R_k1 x ... x R_kr, on
+    pairs flattened row-major, folded one factor at a time from the last onto
+    ((0,),); each k must be >= 1.  Row (x, y) of Z_k x Y sends u*m + v, m = |Y|,
+    to ((x + u) mod k)*m + Y[y][v], and of R_k x Y to ((2x - u) mod k)*m + Y[y][v]:
+    the k blocks w*m + Y[y], w ascending for Z_k and descending for R_k, run
+    twice and sliced from the run's block x for Z_k, k-1 - 2x mod k for R_k."""
+    table = ((0,),)
+    for k in reversed(factors):
+        m = len(table)
+        shifts = sorted(list(range(0, k * m, m)) * m, reverse=reflect)  # each w*m, m times
+        runs = [tuple(map(add, shifts, row * k)) * 2 for row in table]
+        down = [*range((k - 1) * m, -1, -2 * m), *range((k - 1 - k % 2) * m, 0, -2 * m)]
+        starts = down if reflect else range(0, k * m, m)  # k-1 - 2x mod k falls by 2 and wraps
+        table = tuple(run[i : i + k * m] for i in starts for run in runs)
+    return table
 
 
 def direct_product(X: Quandle, Y: Quandle) -> Quandle:

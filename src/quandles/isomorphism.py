@@ -8,8 +8,9 @@ order, and results are deterministic.  A per-point profile and the cells of
 the starts' rows prune; neither decides a positive.  `_preserves` certifies
 each complete map.  On quandles it never fails: if f preserves the rows a and
 b, it preserves the row s_{s_a(b)} = s_a s_b s_a^-1, so a bijection that
-preserves the rows of the starts preserves every row.
-"""
+preserves the rows of the starts preserves every row.  The search is complete
+on quandles.  On other tables it may miss an isomorphism (the profile takes
+the rows for automorphisms), but every map it yields is one."""
 
 from __future__ import annotations
 
@@ -129,8 +130,9 @@ def _isomorphisms(X: Quandle, Y: Quandle):
     Only the starts' rows prune, each cell once its three points are assigned.
     A complete map is yielded only if `_preserves` certifies it, which never
     fails on quandles (see the module docstring).  The stack holds one
-    iterator over the options of each point assigned so far.
-    """
+    iterator over the options of each point assigned so far.  The search is
+    complete on quandles.  On other tables it may miss an isomorphism, but
+    every map it yields is one."""
     n = X.n
     px = _point_profiles(X)
     py = px if Y is X else _point_profiles(Y)
@@ -179,8 +181,8 @@ def find_isomorphism(X: Quandle, Y: Quandle):
     """The first isomorphism X -> Y that the search yields, or None.
 
     Deterministic: candidates are tried in ascending index order, so X against
-    itself always yields the identity.
-    """
+    itself always yields the identity.  The search is complete on quandles.
+    On other tables it may miss an isomorphism, but every map it yields is one."""
     if X.n != Y.n:
         return None
     if X.table == Y.table:

@@ -123,8 +123,8 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
     Products are taken on the right, h -> h after g, by one getter per kept g.
     A set holding the identity and closed so is the group generated, so the
     same generators are kept as with left products.
-    `cap` bounds the number of elements and defaults to degree!, the largest
-    possible order; exceeding it raises ClosureLimitError.
+    `cap` bounds the number of elements, identity included, and defaults to
+    degree!, the largest possible order; exceeding it raises ClosureLimitError.
     """
     gens = [tuple(g) for g in generators]
     if not gens:
@@ -132,6 +132,8 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
     degree = len(gens[0])
     if cap is None:
         cap = math.factorial(degree)
+    elif cap < 1:  # the identity alone exceeds it
+        raise ClosureLimitError(f"closure exceeded cap of {cap} elements")
     elements = {identity_perm(degree)}
     kept: list[Perm] = []
     times: list = []  # times[i](h) = h after kept[i]

@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .analysis import _displacement_generators
-from .core import Quandle, _check_shape, _preserves, _product_table
+from .core import Quandle, _check_shape, _cyclic_table, _preserves, _product_table
 from .perms import PermutationGroup, closure, compose, inverse, is_perm, orbit, perm_order
 
 # The derivation builds the |G|^2 table of G; at 2,520 elements that takes
@@ -90,12 +90,10 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
+        """Z_n: row i is `_cyclic_table`'s slice from i of 0, ..., n-1 run twice."""
         if n < 1:
             raise ValueError("group order must be positive")
-        return cls(
-            tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
-            _trusted=True,
-        )
+        return cls(_cyclic_table((n,), reflect=False), _trusted=True)
 
     @classmethod
     def direct(cls, G: "FiniteGroup", H: "FiniteGroup") -> "FiniteGroup":
@@ -223,9 +221,10 @@ class QuandleTriplet(_Triplet):
 
 def abelian_negation_triplet(factors) -> QuandleTriplet:
     """(Z_q1 x ... x Z_qk, {0}, negation); with no factors, the one-element triplet."""
-    G = FiniteGroup.cyclic(1)
-    for q in factors:
-        G = FiniteGroup.direct(G, FiniteGroup.cyclic(q))
+    factors = tuple(factors)
+    if any(q < 1 for q in factors):
+        raise ValueError("group order must be positive")
+    G = FiniteGroup(_cyclic_table(factors, reflect=False), _trusted=True)
     return QuandleTriplet(G, (G.identity,), negation_map(G))
 
 

@@ -188,6 +188,15 @@ def test_dihedral_product_matches_fold_from_the_singleton():
             assert type(table) is tuple and all(type(row) is tuple for row in table)
 
 
+def test_dihedral_product_of_even_and_unit_factors_matches_the_fold():
+    # Not multisets of odd prime powers, but the rule slices any factors >= 1.
+    for factors in [(), (1,), (2,), (4, 6), (1, 3), (3, 1), (6, 4, 2), (2, 5, 1, 4)]:
+        folded = trivial_quandle(1)
+        for q in factors:
+            folded = direct_product(folded, dihedral_quandle(q))
+        assert _dihedral_product(factors).table == folded.table, factors
+
+
 def test_classify_dihedral45():
     decomposition = classify_flat_connected(dihedral_quandle(45))
     assert decomposition.factors == (9, 5)

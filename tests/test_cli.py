@@ -2,7 +2,14 @@ import json
 import time
 
 from conftest import transposition_quandle
-from quandles import dihedral_quandle, dumps_quandle, is_homomorphism, trivial_quandle
+from quandles import (
+    Quandle,
+    dihedral_quandle,
+    dumps_quandle,
+    find_isomorphism,
+    is_homomorphism,
+    trivial_quandle,
+)
 from quandles.cli import main
 
 
@@ -224,6 +231,31 @@ def test_enumerate_flat_connected(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert json.loads(lines[-1]) == {"summary": True, "order": 4, "classes": 0}
+
+
+def test_enumerate_flat_connected_order_5_prints_r5_then_the_summary(capsys):
+    code, out, err = run(capsys, ["enumerate", "--order", "5", "--flat-connected"])
+    assert code == 0 and err == ""
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(lines) == 2
+    assert lines[0]["n"] == 5
+    assert find_isomorphism(Quandle(lines[0]["table"]), dihedral_quandle(5)) is not None
+    assert lines[1] == {"summary": True, "order": 5, "classes": 1}
+
+
+def test_input_errors_exit_2_with_nothing_on_stdout(capsys, tmp_path, monkeypatch):
+    f3 = write(tmp_path, "r3.json", dumps_quandle(dihedral_quandle(3)))
+    t = write(tmp_path, "t.json", json.dumps({"cyclic_factors": [3]}))
+    cases = [
+        (["make", "product", f3], "make product expects two quandle files"),
+        (["make", "from-triplet", t, t], "make from-triplet expects one triplet file"),
+        (["catalog", "--max", "0"], "--max must be positive"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+    monkeypatch.setenv("QUANDLE_MAX_ORDER", "abc")
+    code, out, err = run(capsys, ["enumerate", "--order", "3"])
+    assert (code, out, err) == (2, "", "error: QUANDLE_MAX_ORDER='abc' is not an integer\n")
 
 
 def test_enumerate_respects_env_cap(capsys, monkeypatch):

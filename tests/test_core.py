@@ -279,6 +279,24 @@ def test_text_parser_diagnostics():
         parse_quandle_text("1\n0\n0\n")
 
 
+def test_text_parser_rejects_bad_headers():
+    cases = [
+        ("2 2\n0 1\n0 1\n", "line 1: expected a single integer (the order)"),
+        ("\n  two\n", "line 2: 'two' is not an integer"),
+        ("0\n", "line 1: order must be positive"),
+    ]
+    for text, message in cases:
+        with pytest.raises(FormatError) as exc:
+            parse_quandle_text(text)
+        assert str(exc.value) == message
+
+
+def test_json_parser_rejects_rows_that_are_not_lists():
+    for text in ('{"table": [0, 1]}', '{"table": [[0], 0]}', '{"table": {"0": [0]}}'):
+        with pytest.raises(FormatError, match="^'table' must be a list of rows$"):
+            parse_quandle_json(text)
+
+
 def test_json_parser_diagnostics():
     with pytest.raises(FormatError, match="line 1"):
         parse_quandle_json("{not json")

@@ -110,6 +110,14 @@ def test_closure_cap_exceeded():
     assert len(closure([(1, 2, 0), (2, 0, 1)], cap=3)) == 3
 
 
+def test_closure_cap_below_one_counts_the_identity():
+    for gens in ([(0, 1)], [(0,)], [(1, 0)]):
+        for cap in (0, -1):
+            with pytest.raises(ClosureLimitError, match=f"^closure exceeded cap of {cap} elements$"):
+                closure(gens, cap=cap)
+    assert len(closure([(0, 1)], cap=1)) == 1
+
+
 def test_closure_default_cap_is_degree_factorial():
     # S_3 fills the whole symmetric group without tripping the default cap.
     group = closure([(1, 0, 2), (0, 2, 1)])
@@ -273,6 +281,13 @@ def test_stabilizer_in_s3():
     s3 = closure([(1, 0, 2), (0, 2, 1)])
     stab = stabilizer(s3, 0)
     assert set(stab.elements) == {(0, 1, 2), (0, 2, 1)}
+
+
+def test_stabilizer_point_out_of_range():
+    s3 = closure([(1, 0, 2), (0, 2, 1)])
+    for point in (3, -1):
+        with pytest.raises(ValueError, match=f"^point {point} out of range for degree 3$"):
+            stabilizer(s3, point)
 
 
 def test_stabilizer_of_transitive_displacement_is_trivial():

@@ -8,6 +8,7 @@ from quandles import (
     FiniteGroup,
     InvalidTripletError,
     QuandleTriplet,
+    TripletViolation,
     abelian_negation_triplet,
     automorphism_group,
     dihedral_quandle,
@@ -125,6 +126,51 @@ def test_finite_group_errors_match_cell_loops():
         assert str(exc.value) == expected
         associativity += expected.startswith("not associative")
     assert associativity >= 50
+
+
+def test_cyclic_group_adds_mod_n():
+    for n in range(1, 61):
+        mul = FiniteGroup.cyclic(n).mul
+        assert mul == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        assert type(mul) is tuple and all(type(row) is tuple for row in mul)
+
+
+def test_abelian_negation_triplet_matches_a_direct_fold():
+    cases = [(), (1,), (2,), (3,), (1, 3), (3, 1), (3, 5), (9, 3), (4, 2), (2, 2, 3)]
+    for factors in cases + [(5, 3, 3), (2, 1, 6), (7, 4, 1, 3)]:
+        folded = FiniteGroup.cyclic(1)
+        for q in factors:
+            folded = FiniteGroup.direct(folded, FiniteGroup.cyclic(q))
+        T = abelian_negation_triplet(iter(factors))  # any iterable of factors
+        assert T.group.mul == folded.mul, factors
+        assert type(T.group.mul) is tuple and all(type(row) is tuple for row in T.group.mul)
+        assert T.subgroup == (0,) and T.sigma == folded.inv
+    for factors in ([0], [3, 0], [3, -2]):
+        with pytest.raises(ValueError, match="^group order must be positive$"):
+            abelian_negation_triplet(factors)
+
+
+def test_group_input_errors():
+    with pytest.raises(ValueError, match="^group order must be positive$"):
+        FiniteGroup.cyclic(0)
+    with pytest.raises(ValueError, match="^empty table: at least one element is required$"):
+        FiniteGroup.from_permutations([])
+    with pytest.raises(ValueError, match="^duplicate permutations$"):
+        FiniteGroup.from_permutations([(0, 1), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="^permutation set is not closed under composition$"):
+        FiniteGroup.from_permutations([(0, 1, 2), (1, 2, 0)])
+    Z3 = FiniteGroup.cyclic(3)
+    with pytest.raises(ValueError, match="^map has length 2, expected 3$"):
+        fix_set((0, 1), Z3)
+    assert is_subgroup(FiniteGroup.cyclic(6), (2, 4)) is False  # closed but no identity
+
+
+def test_validate_triplet_reports_a_sigma_that_is_not_an_automorphism():
+    Z5 = FiniteGroup.cyclic(5)
+    swap = (0, 2, 1, 3, 4)  # 1 + 1 = 2, but swap(1) + swap(1) = 4 != swap(2)
+    assert validate_triplet(Z5, (0,), swap) == [TripletViolation("automorphism", swap)]
+    with pytest.raises(InvalidTripletError, match="automorphism"):
+        QuandleTriplet(Z5, (0,), swap)
 
 
 def test_element_order_matches_power_loop():
@@ -331,6 +377,17 @@ def test_derived_triplet_rejects_non_automorphism_group():
         triplet_from_quandle(Y, 0, bad, with_witness=False)
 
 
+def test_derived_triplet_input_errors():
+    from quandles import closure
+
+    X = dihedral_quandle(5)
+    with pytest.raises(ValueError, match=r"^group degree 3 does not match \|X\| = 5$"):
+        triplet_from_quandle(X, 0, closure([(1, 2, 0)]))
+    for basepoint in (5, -1):
+        with pytest.raises(ValueError, match=f"^basepoint {basepoint} out of range$"):
+            triplet_from_quandle(X, basepoint)
+
+
 def test_round_trip_through_triplet():
     # Homogeneous quandle + transitive symmetry-stable group -> same quandle back.
     cases = [
@@ -471,6 +528,14 @@ def test_parse_triplet_shorthand():
         parse_triplet({"cyclic_factors": [3], "K": [0], "sigma": "negation"})
     with pytest.raises(ValueError):
         parse_triplet({"cyclic_factors": [0]})
+
+
+def test_parse_triplet_rejects_non_objects_and_other_shorthand_sigmas():
+    for obj in ([3, 5], "triplet", None):
+        with pytest.raises(ValueError, match="^expected a JSON object describing a triplet$"):
+            parse_triplet(obj)
+    with pytest.raises(ValueError, match='^shorthand triplets only support sigma = "negation"$'):
+        parse_triplet({"cyclic_factors": [3], "sigma": "identity"})
 
 
 def test_parse_triplet_errors():
