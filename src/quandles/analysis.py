@@ -3,7 +3,8 @@
 inner_group is generated by the rows; displacement_group by all row pairs
 s_x . s_y.  Each predicate reads the cheapest structure that decides it:
 connectivity the orbit of the rows, flatness commuting generators, and
-homogeneity the first automorphism from 0 into each inner orbit it misses.
+homogeneity automorphisms from 0, each to the largest point not yet reached,
+since one found reaches the inner orbit of every point on its cycle of 0.
 Nothing is cached between calls.
 """
 
@@ -27,8 +28,9 @@ def inner_group(X: Quandle) -> PermutationGroup:
 def _displacement_generators(X: Quandle) -> list:
     """The n products s_x . s_0, which generate every s_x . s_y:
     s_x . s_y = (s_x . s_0)(s_0 . s_0)^-1 (s_{s_0(y)} . s_0)."""
-    s0 = X.table[0]
-    return [compose(rx, s0) for rx in X.table]
+    if X.n < 2:  # itemgetter of one index returns a bare item, not a tuple
+        return list(X.table)
+    return list(map(itemgetter(*X.table[0]), X.table))
 
 
 def displacement_group(X: Quandle) -> PermutationGroup:
@@ -106,26 +108,40 @@ def is_flat(X: Quandle) -> bool:
 
 def is_involutive(X: Quandle) -> bool:
     """True iff every symmetry squares to the identity."""
+    if X.n < 2:  # the one row of order 1 is (0,)
+        return True
     ident = identity_perm(X.n)
-    return all(compose(row, row) == ident for row in X.table)
+    return all(itemgetter(*row)(row) == ident for row in X.table)
 
 
 def is_homogeneous(X: Quandle) -> bool:
     """True iff the automorphism group acts transitively.
 
     The rows are automorphisms, so Aut covers an inner orbit once it reaches
-    one of its points.  One search, set up once, takes the first automorphism
-    from 0 into each inner orbit that the orbit of 0 misses; Aut is never built.
+    one of its points.  One search, set up once, looks for an automorphism f
+    from 0 to the largest point not yet reached; if there is none, X is not
+    homogeneous.  Each point f^k(0) on the cycle of 0 under f is an Aut-image
+    of 0, so its inner orbit is reached too.  The answer is that of one search
+    per missed inner orbit, but on T_n the first f, 0 -> n-1 and x -> x-1
+    after, reaches every point: one search decides what took n-1.  Aut is
+    never built.
     """
-    reached, targets = orbit(X.table, 0), []
-    for y in range(X.n):
-        if y not in reached:
-            targets.append(y)
-            reached |= orbit(X.table, y)
-    if not targets:
+    rows = X.table
+    reached = orbit(rows, 0)
+    if len(reached) == X.n:
         return True
     isomorphisms = _isomorphisms(X, X)
-    return all(next(isomorphisms((y,)), None) is not None for y in targets)
+    for y in reversed(range(X.n)):
+        if y not in reached:
+            f = next(isomorphisms((y,)), None)
+            if f is None:
+                return False
+            z = f[0]
+            while z:  # the cycle of 0 under f
+                if z not in reached:
+                    reached |= orbit(rows, z)
+                z = f[z]
+    return True
 
 
 def analyze(X: Quandle) -> dict:

@@ -10,10 +10,17 @@ each complete map.  On quandles it never fails: if f preserves the rows a and
 b, it preserves the row s_{s_a(b)} = s_a s_b s_a^-1, so a bijection that
 preserves the rows of the starts preserves every row.  The search is complete
 on quandles.  On other tables it may miss an isomorphism (the profile takes
-the rows for automorphisms), but every map it yields is one."""
+the rows for automorphisms), but every map it yields is one.
+
+Tables that are not isomorphic are told apart before the search is set up,
+as early as the profiles allow: the profiles of Y are computed against those
+of X and stop where the sorted lists would first differ (see
+`_point_profiles`), so every answer and witness is the one the full lists give."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import groupby, islice
 from math import gcd
 from operator import itemgetter
 
@@ -34,7 +41,7 @@ def is_homomorphism(f, X: Quandle, Y: Quandle) -> bool:
     return _preserves(f, X.table, Y.table)
 
 
-def _point_profiles(X: Quandle) -> list:
+def _point_profiles(X: Quandle, against: list | None = None) -> list | None:
     """Per-point invariant: (inner orbit size, cycle type of s_y, number of x
     with s_x(y) = y, sorted orders of s_x . s_y over all x).
 
@@ -52,22 +59,52 @@ def _point_profiles(X: Quandle) -> list:
     an identity row or a fixed x costs one comparison.  Each y makes one
     getter for d, and equal rows s_x give equal d, so ord(d) is memoized per y
     by the row s_x, which the table holds: the memo adds no tuples.
+
+    Given `against`, the profiles of another table X', returns None if the
+    sorted lists differ, and stops once that is certain.  An orbit stops it
+    if no profile of X' has its head, the profile less its orders, or, before
+    an order computed after its first (until then every order counted is 1),
+    if the order computed last already occurs more often than in every
+    profile of X' with that head.  Either way the orbit's profile is one that
+    X' lacks, so every answer is the one the full lists give.  On a table that
+    breaks the axioms orbits may overlap, so a stop is taken only if the
+    orbit's profile is not written over (`_stands`).  A finished profile that
+    X' has takes the equal tuple of X', so the final comparison of the sorted
+    lists and the search's matching of points are by identity.
     """
     rows = X.table
     ident = identity_perm(X.n)
     profiles = [None] * X.n
+    if against is not None:
+        ranked = sorted(against)
     for y, ry in enumerate(rows):
         if profiles[y] is None:
-            cycles = cycle_lengths(ry)
+            orb = orbit(rows, y)
+            head = (len(orb), cycle_lengths(ry), sum(r[y] == y for r in rows))
+            if against is not None:
+                i = bisect_left(ranked, head)  # a head sorts before the profiles it starts
+                if (i == len(ranked) or ranked[i][:3] != head) and _stands(rows, profiles, y, orb):
+                    return None
             after_y = itemgetter(*ry) if X.n > 1 else tuple  # (0,) is the only row of order 1
             involutive = after_y(ry) == ident  # an involution is a bijection, on any table
-            orders, seen, memo = [], [False] * X.n, {}
+            orders, seen, memo, last = [], [False] * X.n, {}, None
             for x, rx in enumerate(rows):
                 if seen[x]:
                     continue
                 d, order = after_y(rx), memo.get(rx)
                 if order is None:
-                    order = memo[rx] = 1 if d == ident else perm_order(d)
+                    if d == ident:
+                        order = 1
+                    elif (
+                        against is not None
+                        and last is not None
+                        and orders.count(last) > _most(last, ranked, i, head)
+                        and _stands(rows, profiles, y, orb)
+                    ):
+                        return None
+                    else:
+                        order = last = perm_order(d)
+                    memo[rx] = order
                 z = x
                 while not seen[z]:
                     seen[z] = True
@@ -82,16 +119,43 @@ def _point_profiles(X: Quandle) -> list:
                             orders.append(o)
                             w = ry[w]
                         z, e = d[z], e + 2
-            orb = orbit(rows, y)
-            profile = (
-                len(orb),
-                cycles,
-                sum(r[y] == y for r in rows),
-                tuple(sorted(orders)),
-            )
+            profile = (*head, tuple(sorted(orders)))
+            if against is not None:
+                k = bisect_left(ranked, profile, i)
+                if k < len(ranked) and ranked[k] == profile:
+                    profile = ranked[k]  # later comparisons with it are by identity
             for z in orb:
                 profiles[z] = profile
+    if against is not None and sorted(profiles) != ranked:
+        return None
     return profiles
+
+
+def _stands(rows, profiles, y, orb) -> bool:
+    """True iff the profile of the orbit `orb` of y, written next, keeps one
+    of its points.  It does on quandles, whose inner orbits do not overlap;
+    on other tables the orbit of a later point that no orbit before it
+    reaches may hold points of `orb`, and its profile is written over them."""
+    left = set(orb)
+    reached = left.union(z for z, p in enumerate(profiles) if p is not None)
+    for z in range(y + 1, len(rows)):
+        if z not in reached:
+            later = orbit(rows, z)
+            reached |= later
+            left -= later
+    return bool(left)
+
+
+def _most(order, ranked, i, head) -> int:
+    """The most times `order` occurs in the orders of a profile with this head
+    in the sorted list `ranked`, where they run from index i.  Equal profiles
+    are adjacent, so each distinct one is counted once."""
+    most = 0
+    for t, _ in groupby(islice(ranked, i, None)):
+        if t[:3] != head:
+            break
+        most = max(most, t[3].count(order))
+    return most
 
 
 def _generation_order(X: Quandle) -> tuple[list[int], list]:
@@ -125,9 +189,12 @@ def _isomorphisms(X: Quandle, Y: Quandle):
     images to try for f(0), by default all its candidates, that returns a
     generator of the isomorphisms in search order.
 
-    Assigns the points of X in generation order.  A start tries the points of
-    Y with its profile; any other point t = s_a(b) is pinned to s_f(a)(f(b)).
-    Only the starts' rows prune, each cell once its three points are assigned.
+    Y's profiles are computed against X's, and the search yields nothing as
+    soon as they differ (see `_point_profiles`), which is the answer the
+    complete lists give.  Assigns the points of X in generation order.  A
+    start tries the points of Y with its profile; any other point t = s_a(b)
+    is pinned to s_f(a)(f(b)).  Only the starts' rows prune, each cell once
+    its three points are assigned.
     A complete map is yielded only if `_preserves` certifies it, which never
     fails on quandles (see the module docstring).  The stack holds one
     iterator over the options of each point assigned so far.  The search is
@@ -135,8 +202,8 @@ def _isomorphisms(X: Quandle, Y: Quandle):
     every map it yields is one."""
     n = X.n
     px = _point_profiles(X)
-    py = px if Y is X else _point_profiles(Y)
-    if sorted(px) != sorted(py):
+    py = px if Y is X else _point_profiles(Y, px)
+    if py is None:
         return lambda images=None: iter(())
     order, pins = _generation_order(X)
     xt, yt, level = X.table, Y.table, inverse(order)

@@ -5,6 +5,7 @@ from functools import reduce
 from conftest import (
     affine5,
     affine_quandle,
+    disjoint_union,
     labelled_quandles_to_order_5,
     oracle_corpus,
     pinned_point_quandle,
@@ -28,6 +29,7 @@ from quandles import (
     is_involutive,
     trivial_quandle,
 )
+from quandles import analysis, isomorphism
 from quandles.analysis import _flat_connected_dis
 from quandles.perms import compose, identity_perm, inverse, is_abelian, is_transitive, orbit
 
@@ -131,6 +133,70 @@ def test_homogeneous_matches_automorphism_group_oracle():
     ]
     for X in labelled_quandles_to_order_5() + others:
         assert is_homogeneous(X) == is_transitive(automorphism_group(X))
+
+
+def test_homogeneous_matches_automorphism_group_on_relabellings():
+    rng = random.Random(18)
+    bases = [trivial_quandle(n) for n in range(1, 9)]
+    bases += [dihedral_quandle(n) for n in range(4, 15, 2)]
+    bases += [
+        direct_product(dihedral_quandle(m), trivial_quandle(k))
+        for m, k in ((3, 2), (4, 2), (3, 4), (5, 3), (7, 2))
+    ]
+    bases += [pinned_point_quandle(), _two_points_beside_r3()]
+    for X in bases:
+        Y = relabeled(X, rng)
+        assert is_homogeneous(Y) == is_transitive(automorphism_group(Y)), X.table
+
+
+def _two_points_beside_r3():
+    # 0 | 1 2 3 | 4: the rows of 0 and 4 are the identity and those of R_3
+    # are not, so Aut swaps 0 and 4 but cannot send 0 into R_3.
+    T1 = trivial_quandle(1)
+    return disjoint_union(disjoint_union(T1, dihedral_quandle(3)), T1)
+
+
+def _count_searches(monkeypatch):
+    """The images asked for f(0), one entry per homogeneity search started,
+    and the complete maps that `_preserves` checked."""
+    searches, leaves = [], []
+    isomorphisms, preserves = analysis._isomorphisms, isomorphism._preserves
+
+    def counted(X, Y):
+        search = isomorphisms(X, Y)
+        return lambda images=None: searches.append(images) or search(images)
+
+    monkeypatch.setattr(analysis, "_isomorphisms", counted)
+    monkeypatch.setattr(
+        isomorphism, "_preserves", lambda f, a, b: leaves.append(tuple(f)) or preserves(f, a, b)
+    )
+    return searches, leaves
+
+
+def test_trivial_quandles_are_decided_by_one_search(monkeypatch):
+    # From the largest point, the first automorphism of T_n is 0 -> n-1 and
+    # x -> x-1 after, one cycle through every point; from 1 it would be the
+    # transposition (0 1), and n-1 searches would be needed.
+    searches, leaves = _count_searches(monkeypatch)
+    for n in range(2, 9):
+        searches.clear()
+        leaves.clear()
+        assert is_homogeneous(trivial_quandle(n))
+        assert searches == [(n - 1,)]
+        assert leaves == [(n - 1, *range(n - 1))]
+
+
+def test_homogeneity_search_that_reaches_a_point_and_then_misses_one(monkeypatch):
+    # The first search, to 4, finds the swap of 0 and 4; the next, to 3, the
+    # largest point still unreached, finds nothing.
+    searches, _ = _count_searches(monkeypatch)
+    assert not is_homogeneous(_two_points_beside_r3())
+    assert searches == [(4,), (3,)]
+    searches.clear()
+    assert not is_homogeneous(pinned_point_quandle())
+    assert searches == [(3,)]
+    searches.clear()
+    assert is_homogeneous(dihedral_quandle(5)) and searches == []  # connected: no search
 
 
 def test_connected_implies_homogeneous():

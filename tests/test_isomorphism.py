@@ -37,6 +37,8 @@ from quandles import (
     trivial_quandle,
     validate_quandle,
 )
+from quandles import isomorphism
+from quandles.classify import _dihedral_product
 from quandles.isomorphism import _generation_order, _isomorphisms, _point_profiles
 from quandles.perms import compose, cycle_lengths, identity_perm, is_perm, orbit, perm_order
 
@@ -324,6 +326,74 @@ def test_point_profiles_keep_no_table_sized_memo():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert profiles == _profiles_by_definition(X)
+
+
+def _refuted_against(tables):
+    """Checks `_point_profiles(Y, against)` for each (Y, X) from `tables`, an
+    iterable of pairs of quandles: None iff the sorted profiles differ, else
+    Y's own profiles.  Returns the number of pairs and of those refuted."""
+    pairs = refuted = 0
+    profiles = {}
+    for Y, X in tables:
+        for Z in (X, Y):
+            if id(Z) not in profiles:
+                profiles[id(Z)] = Z, _point_profiles(Z), sorted(_point_profiles(Z))
+        (_, px, sx), (_, py, sy) = profiles[id(X)], profiles[id(Y)]
+        got = _point_profiles(Y, px)
+        if sx != sy:
+            assert got is None, (X.table, Y.table)
+            refuted += 1
+        else:
+            assert got == py, (X.table, Y.table)
+        pairs += 1
+    return pairs, refuted
+
+
+def test_point_profiles_against_are_none_exactly_when_the_sorted_profiles_differ():
+    # Every ordered pair of distinct tables of one order in the oracle corpus,
+    # and each shape-valid table of order at most 3 against a relabelling of
+    # itself, the next table and a seeded draw.
+    by_order = {}
+    for X in oracle_corpus():
+        by_order.setdefault(X.n, []).append(X)
+    pairs = ((Y, X) for same in by_order.values() for X in same for Y in same if Y is not X)
+    assert _refuted_against(pairs) == (313952, 285428)
+    rng = random.Random(3)
+    tables = {n: [Quandle(table) for table in every_table(n)] for n in (1, 2, 3)}
+    pairs = (
+        (Y, X)
+        for same in tables.values()
+        for k, Y in enumerate(same)
+        for X in (relabeled(Y, rng), same[k - 1], rng.choice(same))
+    )
+    assert _refuted_against(pairs) == (59100, 38002)
+
+
+def _count_perm_orders(monkeypatch):
+    calls = []
+    perm_order = isomorphism.perm_order
+    monkeypatch.setattr(isomorphism, "perm_order", lambda p: calls.append(p) or perm_order(p))
+    return calls
+
+
+def test_refutation_stops_before_the_orders_it_does_not_need(monkeypatch):
+    # R_3^4 and R_81 share every head, (81, one fixed point and 40
+    # transpositions, 1), but in R_81 only two products s_x . s_y have order 3
+    # and in R_3^4 all but one do: the count of 3 passes 2 after a few orders.
+    calls = _count_perm_orders(monkeypatch)
+    Y, X = _dihedral_product((3, 3, 3, 3)), _dihedral_product((81,))
+    px = _point_profiles(X)
+    calls.clear()
+    full = _point_profiles(Y)
+    assert full[0][:3] == px[0][:3] and len(calls) > 3
+    whole, calls[:] = len(calls), []
+    assert _point_profiles(Y, px) is None
+    assert 0 < len(calls) < whole
+    # Aff(Z_5, 2) has 4-cycles for rows and R_5 transpositions: no order is
+    # computed at all.
+    px = _point_profiles(dihedral_quandle(5))
+    calls.clear()
+    assert _point_profiles(affine5(), px) is None and calls == []
 
 
 def _generation_order_over_every_pair(X):
