@@ -2,21 +2,22 @@
 
 inner_group is generated by the rows; displacement_group by all row pairs
 s_x . s_y.  Each predicate reads the cheapest structure that decides it:
-connectivity the orbit of the rows, flatness commuting generators, and
-homogeneity automorphisms from 0, each to the largest point not yet reached,
-since one found reaches the inner orbit of every point on its cycle of 0.
+connectivity the orbit of the rows, flatness a few commuting generators of
+Dis, kept by a walk over the points whose orbit of 0 grows by the block rule
+(`_flat_dis_generators`), and homogeneity automorphisms from 0, each to the
+largest point not yet reached, since one found reaches the inner orbit of
+every point on its cycle of 0.
 Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import itemgetter
 
 from .core import Quandle
 from .isomorphism import _isomorphisms
 from .perms import (
-    PermutationGroup, _commute, closure, compose, identity_perm, is_abelian, is_perm, orbit
+    PermutationGroup, _commute, _commuting_walk, closure, identity_perm, is_abelian, is_perm, orbit
 )
 
 
@@ -38,58 +39,56 @@ def displacement_group(X: Quandle) -> PermutationGroup:
     return closure(_displacement_generators(X))
 
 
-def _flat_connected_dis(X: Quandle) -> list | None:
-    """Dis of a connected X listed by where it sends 0, if it is commutative;
-    else None.
+def _flat_dis_generators(X: Quandle) -> list | None:
+    """A few commuting generators of Dis of a connected X, if Dis is
+    commutative; else None.
 
-    That Dis is transitive, and a transitive abelian group is regular, so each
-    element is named by its image of 0 and a dict keyed by it lists the group
-    H closed so far.  Only the generators it needs are composed: s_0 . s_0
-    first, then s_x . s_0 for each point x that H does not yet send 0 to,
-    until H sends 0 everywhere.  A generator listed under its image of 0 is in
-    H; any other must commute with the generators kept, and adds the cosets
-    H.g^i until g^i is listed.  A coset H.p holds p itself, and h.p for the
-    other h of H from one getter of p; one getter of g per generator gives the
-    next representative p.g.
+    The walk: s_0 . s_0 must be the identity.  Then `_commuting_walk` visits
+    x = 1, 2, ... while the orbit H.0 of the group H kept so far misses a
+    point, and composes g = s_x . s_0 only for an x not in H.0.  It checks
+    that g is a permutation, skips g if g(0) is in H.0, and else keeps g if
+    it commutes with every generator kept before it; H.0 grows by the block
+    rule of `_grow`.  No element of Dis is listed.
 
-    Why H is all of Dis: if s_0 . s_0 is not the identity, it fixes 0, so Dis
-    is not regular.  Otherwise, once H.0 = X, X is connected, so every row is
-    conjugate to s_0 and is an involution.  Let S be 0 and the points x
-    composed: each point of H.0 lies in the subquandle that S generates, so S
-    generates X and the s_a (a in S) generate Inn.  N = <s_a . s_0 : a in S>
-    is H, and it is normal in Inn, since s_0 (s_a . s_0) s_0 = (s_a . s_0)^-1
-    and s_a = (s_a . s_0) s_0.  Every s_a, hence every s_x, is s_0 modulo N,
-    so every s_x . s_y lies in N.
+    Why H is all of Dis once H.0 = X (on a quandle): X is connected, so every
+    row is conjugate to s_0 in Inn and, like s_0, is an involution.  Let S be
+    0 and the points whose g was kept: each point of H.0 lies in the
+    subquandle that S generates, so S generates X and the s_a (a in S)
+    generate Inn.  N = <s_a . s_0 : a in S> is H, and it is normal in Inn,
+    since s_0 (s_a . s_0) s_0 = (s_a . s_0)^-1 and s_a = (s_a . s_0) s_0.
+    Every s_a, hence every s_x, is s_0 modulo N, so every s_x . s_y lies in
+    N.  H is abelian and transitive, so it is regular.
 
-    Two different elements that agree at 0 show that Dis is not regular, so it
-    is not commutative unless X is not a quandle: all the generators are
-    compared to tell.  An abelian Dis that is not regular, which no quandle
-    has, gives an empty list.
+    Why no walk on a flat X fails (on a quandle): Dis is transitive, since
+    Inn = Dis u Dis.s_0 and s_0 fixes 0, so an abelian Dis is regular.  Then
+    s_0 . s_0, in Dis and fixing 0, is the identity; every kept g commutes;
+    and a g skipped at an x outside H.0 is the element of H that agrees with
+    it at 0.  For x in H.0, s_x = h s_0 h^-1 for the h in H with h(0) = x, and
+    s_0 normalizes H as above, so s_x . s_0 is in H too.  So at the end every
+    s_x . s_0 is in H, H = Dis and H.0 = X.  A table that is not a quandle can
+    fail the walk with a commutative Dis, so all the generators are then
+    compared to tell: such a Dis is not regular and gives an empty list.  The
+    list for a regular Dis is never empty.
     """
-    n, s0 = X.n, X.table[0]
-    dis, kept = {0: identity_perm(n)}, []
-    for x in range(n):
-        if len(dis) == n:
-            break
-        if x and x in dis:  # s_0 . s_0 is composed though H sends 0 to 0
-            continue
-        g = compose(X.table[x], s0)
-        if dis.get(g[0]) == g:
-            continue
+    n, rows = X.n, X.table
+    if n < 2:  # itemgetter of one index returns a bare item, not a tuple
+        return list(rows)
+    times_s0 = itemgetter(*rows[0])
+
+    def candidate(x):
+        g = times_s0(rows[x])  # s_x . s_0
         if not is_perm(g, n):
             raise ValueError(f"not a permutation of degree {n}: {g}")
-        if any(compose(g, k) != compose(k, g) for k in kept):
+        return g
+
+    if times_s0(rows[0]) == identity_perm(n):
+        walk = _commuting_walk(n, 0, candidate)
+        if walk is None:
             return None
-        kept.append(g)
-        rest = list(dis.values())[1:]  # H without the identity
-        p, times_g = g, itemgetter(*g)
-        while dis.get(p[0]) != p:
-            for q in chain((p,), map(itemgetter(*p), rest) if rest else ()):  # h -> h . p
-                if q[0] in dis:
-                    return [] if _commute(set(_displacement_generators(X))) else None
-                dis[q[0]] = q
-            p = times_g(p)  # p . g, a power of g
-    return [dis[x] for x in range(n)] if len(dis) == n else []
+        kept, reached = walk
+        if len(reached) == n:
+            return kept
+    return [] if _commute(set(_displacement_generators(X))) else None
 
 
 def is_connected(X: Quandle) -> bool:
@@ -98,11 +97,12 @@ def is_connected(X: Quandle) -> bool:
 
 
 def is_flat(X: Quandle) -> bool:
-    """True iff the displacement group is commutative: listed by the images of
-    0 from only the generators it needs if X is connected, else by its n
-    generators s_x . s_0 commuting pairwise."""
+    """True iff the displacement group is commutative: by the walk of
+    `_flat_dis_generators` if X is connected, else by its n generators
+    s_x . s_0 commuting pairwise.  The walk's answer is proved for quandles;
+    on a table that breaks the axioms it may differ from the closed Dis."""
     if is_connected(X):
-        return _flat_connected_dis(X) is not None
+        return _flat_dis_generators(X) is not None
     return _commute(set(_displacement_generators(X)))
 
 

@@ -2,28 +2,30 @@
 
 Such a quandle is isomorphic to a direct product of dihedral quandles whose
 sizes are odd prime powers, namely the primary decomposition of its (abelian)
-displacement group.  `classify_flat_connected` gets that group from the
-flatness check in `analysis`, reads the factors off its element orders, and
-certifies them by an isomorphism onto the predicted product.  That Dis acts
-regularly, so the flatness check lists it by where each element sends 0, from
-only the generators it needs, and the orders come from one walk from 0 per
-cyclic subgroup; one counting rule turns the orders into the factors.  The
-product is sliced by `core._cyclic_table`, which builds every cyclic and
-dihedral table.  `odd_prime_power_multisets` lists the factorizations of an
-order in one recursion, and `predicted_count` and `build_representatives`
-read off that list.  Nothing is cached between calls.
+displacement group.  `classify_flat_connected` gets a few commuting
+generators of that group from the flatness check in `analysis`, reads the
+factors off its torsion counts, and certifies them by an isomorphism onto the
+predicted product.  That Dis acts regularly, so a subgroup's order is the
+size of its orbit of 0, which grows by the block rule: #{h : h^q = 1} is n
+over the size of the orbit under the q-th powers of the generators, and one
+counting rule turns the counts into the factors.  No element of Dis is
+listed.  `abelian_invariants` keeps generators from a group's rows by the
+same walk and reads them by the same rule.  The product is sliced by
+`core._cyclic_table`, which builds every cyclic and dihedral table.
+`odd_prime_power_multisets` lists the factorizations of an order in one
+recursion, and `predicted_count` and `build_representatives` read off that
+list.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
-from .analysis import _flat_connected_dis, is_connected
+from .analysis import _flat_dis_generators, is_connected
 from .core import Quandle, _cyclic_table
 from .isomorphism import find_isomorphism
-from .perms import _regular_orders
-from .triplets import FiniteGroup, is_abelian_group
+from .perms import _commuting_walk, _torsion
+from .triplets import FiniteGroup
 
 
 class ClassificationError(Exception):
@@ -114,34 +116,44 @@ def build_representatives(n: int) -> list[Quandle]:
     return [_dihedral_product(ms) for ms in odd_prime_power_multisets(n)]
 
 
-def _primary_factors(orders) -> tuple[int, ...]:
-    """Primary decomposition of an abelian group, as descending prime powers,
-    from the orders of all its elements.
+def _primary_factors(order: int, torsion) -> tuple[int, ...]:
+    """Primary decomposition of an abelian group of the given order, as
+    descending prime powers, from its torsion counts torsion(q) = #{g : g^q
+    = 1}.
 
-    For each p^a exactly dividing the group order, c_k = log_p #{g : ord(g)
-    divides p^k} is the sum of min(k, e) over the cyclic factors Z_{p^e}, so
-    (c_k - c_{k-1}) - (c_{k+1} - c_k) of them have order p^k.  The callers
-    pass the orders of an abelian group; each distinct order is counted once.
+    For each p^a exactly dividing the order, c_k = log_p torsion(p^k) is the
+    sum of min(k, e) over the cyclic factors Z_{p^e}, so (c_k - c_{k-1}) -
+    (c_{k+1} - c_k) of them have order p^k.  c_0 = 0, and c_k = a for k >= a,
+    since the g with g^(p^a) = 1 form the Sylow p-subgroup: only the counts
+    for 0 < k < a are asked for.
     """
-    counts, factors = Counter(orders), []
-    for p, a in _factorize(len(orders)).items():
-        c = []
-        for k in range(a + 2):
-            count, e = sum(v for o, v in counts.items() if p**k % o == 0), 0
+    factors = []
+    for p, a in _factorize(order).items():
+        c = [0]
+        for k in range(1, a):
+            count, e = torsion(p**k), 0
             while e < a and p ** (e + 1) <= count:
                 e += 1
             c.append(e)
+        c += [a, a]
         for k in range(1, a + 1):
             factors += [p**k] * (2 * c[k] - c[k - 1] - c[k + 1])
     return tuple(sorted(factors, reverse=True))
 
 
 def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
-    """Primary decomposition of an abelian group, as descending prime powers."""
-    if not is_abelian_group(G):
+    """Primary decomposition of an abelian group, as descending prime powers.
+
+    The rows of G.mul are the regular action of G, row g sending the
+    identity to g, so `_commuting_walk` keeps a few rows that generate G and
+    `_torsion` counts from them.  The kept rows commute pairwise exactly when
+    G, which they generate, is abelian: the walk stops at the first pair
+    that does not.
+    """
+    walk = _commuting_walk(G.order, G.identity, G.mul.__getitem__)
+    if walk is None:
         raise ValueError("group is not abelian")
-    # Row g sends the identity to g, and the rows form the regular action.
-    return _primary_factors(_regular_orders(G.mul, G.identity))
+    return _primary_factors(G.order, _torsion(walk[0], G.identity, G.order))
 
 
 def classify_flat_connected(X: Quandle) -> FlatDecomposition:
@@ -150,26 +162,28 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     X must be a quandle; raw tables are validated by `as_quandle` or
     `load_quandle`.  Connectivity and flatness are verified, not assumed: a
     disconnected or non-flat quandle is an error naming the failed
-    certificate.  Flatness comes from `_flat_connected_dis`, which lists Dis
-    by the images of 0: a transitive abelian group is regular, so element x is
-    the one sending 0 to x, and a Dis that is abelian but not regular, which
-    only a table that breaks the axioms can have, comes back empty.
-    `_regular_orders` reads the orders of the elements off one walk from 0 per
-    cyclic subgroup; the factors are the primary decomposition.  The
-    isomorphism witness onto the dihedral product of the factors is the one
-    certificate: it satisfies the homomorphism equation on all n^2 pairs, so
-    it also certifies that X satisfies the axioms and that the factors are
-    right.  A table that breaks the axioms raises ValueError,
+    certificate.  Flatness comes from `_flat_dis_generators`, which keeps a
+    few commuting generators of Dis by a walk over the points: a transitive
+    abelian group is regular, and a Dis that is abelian but not regular,
+    which only a table that breaks the axioms can have, comes back empty.
+    The factors are the primary decomposition of that regular Dis, read by
+    `_primary_factors` from its torsion counts: h -> h^q is an endomorphism
+    of the abelian Dis with image <g^q : g kept>, so #{h : h^q = 1} = n /
+    |<g^q : g kept>.0|, and that orbit grows by the block rule (`_torsion`).
+    The isomorphism witness onto the dihedral product of the factors is the
+    one certificate: it satisfies the homomorphism equation on all n^2
+    pairs, so it also certifies that X satisfies the axioms and that the
+    factors are right.  A table that breaks the axioms raises ValueError,
     ClassificationError or TheoremViolationError and is never decomposed.
     """
     if not is_connected(X):
         raise ClassificationError("not-connected", f"order-{X.n} quandle is disconnected")
-    dis = _flat_connected_dis(X)
-    if dis is None:
+    gens = _flat_dis_generators(X)
+    if gens is None:
         raise ClassificationError("not-flat", f"order-{X.n} quandle has a non-commutative displacement group")
-    if not dis:
+    if not gens:
         raise TheoremViolationError(f"abelian displacement group does not act regularly: {X.table}")
-    factors = _primary_factors(_regular_orders(dis, 0))
+    factors = _primary_factors(X.n, _torsion(gens, 0, X.n))
     witness = find_isomorphism(X, _dihedral_product(factors))
     if witness is None:
         raise TheoremViolationError(

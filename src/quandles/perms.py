@@ -2,7 +2,9 @@
 
 Groups at this scale (a few thousand elements on at most a few dozen points)
 are enumerated by breadth-first closure; nothing here needs strong generating
-sets.
+sets.  A regular abelian group is not enumerated: a few commuting generators,
+kept by `_commuting_walk`, give its orbits by the block rule (`_grow`) and
+its torsion counts (`_torsion`).
 """
 
 from __future__ import annotations
@@ -61,23 +63,98 @@ def cycle_lengths(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _regular_orders(perms, base: int) -> list[int]:
-    """Element orders of a regular group listed as perms[x], the element
-    sending `base` to x, returned in the same order.  The k-th point of the
-    walk of g from `base` names g^k, of order L / gcd(k, L) for the walk's
-    length L: one walk per cyclic subgroup, not one per element (up to n^2)."""
-    orders = [0] * len(perms)
-    for x, g in enumerate(perms):
-        if orders[x]:
-            continue
-        walk, y = [base], g[base]
-        while y != base:
-            walk.append(y)
+def _power(p: Perm, e: int) -> Perm:
+    """p composed with itself e >= 1 times, by repeated squaring; p has
+    degree at least 2, since itemgetter of one index returns a bare item."""
+    result = None
+    while True:
+        if e & 1:
+            result = p if result is None else itemgetter(*p)(result)
+        e >>= 1
+        if not e:
+            return result
+        p = itemgetter(*p)(p)
+
+
+def _grow(reached: list, seen: set, g: Perm) -> None:
+    """The block rule: extend `reached`, the orbit H.b of b = reached[0]
+    under an abelian group H, to the orbit of <H, g>, for g commuting with H;
+    `seen` holds the points of `reached`.
+
+    <H, g> is the set of the h.g^i, so its orbit is the union of the blocks
+    g^i(H.b) = H.g^i(b), each an orbit of H.  Let m be the least i >= 1 with
+    g^i(b) in H.b.  Then g^m(H.b) = H.b, so the blocks repeat with period m;
+    and for 0 <= i < j < m they are disjoint, since a common point would put
+    g^(j-i)(b) in H.b.  So each new block is the image of the last, until its
+    first point g^i(b) is one already reached: one lookup per point of the
+    orbit, and no element of the group is listed.  While H.b = {b}, the
+    blocks are the points of the cycle of b under g, walked one by one.
+    """
+    if len(reached) == 1:
+        y = g[reached[0]]
+        while y not in seen:
+            seen.add(y)
+            reached.append(y)
             y = g[y]
-        length = len(walk)
-        for k, y in enumerate(walk):
-            orders[y] = length // math.gcd(k, length)
-    return orders
+        return
+    block = reached
+    while True:
+        block = [g[y] for y in block]
+        if block[0] in seen:
+            return
+        seen.update(block)
+        reached += block
+
+
+def _commuting_orbit(gens, base: int) -> list[int]:
+    """Orbit of `base` under pairwise commuting permutations, by `_grow`."""
+    reached = [base]
+    seen = {base}
+    for g in gens:
+        _grow(reached, seen, g)
+    return reached
+
+
+def _commuting_walk(degree: int, base: int, candidate):
+    """Generators of a group by the points they send `base` to, kept only
+    while they commute.
+
+    Visits x in ascending order while the orbit of `base` under the kept
+    generators misses a point.  A reached x is skipped; otherwise g =
+    candidate(x) is taken, skipped if g(base) is reached, and else kept,
+    once it commutes with every generator kept before it, and the orbit
+    grows by `_grow`.  Returns the kept generators and that orbit, or None
+    at the first kept generator that does not commute.
+    """
+    reached, seen, kept, getters = [base], {base}, [], []
+    for x in range(degree):
+        if len(reached) == degree:
+            break
+        if x in seen:
+            continue
+        g = candidate(x)
+        if g[base] in seen:
+            continue
+        times_g = itemgetter(*g)  # degree >= 2 here: x and base are both points
+        if any(by(g) != times_g(k) for k, by in zip(kept, getters)):  # g.k != k.g
+            return None
+        kept.append(g)
+        getters.append(times_g)
+        _grow(reached, seen, g)
+    return kept, reached
+
+
+def _torsion(gens, base: int, order: int):
+    """q -> #{h : h^q = 1} in the regular abelian group H of the given order
+    that the commuting `gens` generate.
+
+    h -> h^q is an endomorphism of H, whose image is generated by the g^q.
+    H acts regularly, so a subgroup's order is the size of its orbit of
+    `base`, read by `_commuting_orbit`; the count is the kernel's order,
+    |H| / |<g^q>.base|.  Nothing is listed but points.  It is asked only
+    for q sharing a prime with |H|, so H has the 2 points `_power` needs.
+    """
+    return lambda q: order // len(_commuting_orbit([_power(g, q) for g in gens], base))
 
 
 def perm_order(p: Perm) -> int:

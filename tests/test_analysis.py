@@ -30,7 +30,7 @@ from quandles import (
     trivial_quandle,
 )
 from quandles import analysis, isomorphism
-from quandles.analysis import _flat_connected_dis
+from quandles.analysis import _flat_dis_generators
 from quandles.perms import compose, identity_perm, inverse, is_abelian, is_transitive, orbit
 
 
@@ -325,18 +325,22 @@ def test_repeated_calls_keep_no_quandle_alive():
 
 
 def test_flat_connected_dis_matches_the_closed_displacement_group():
-    # An abelian Dis of a connected quandle is regular, so its sorted element
-    # list is the list by images of 0; otherwise there is nothing to list.
+    # An abelian Dis of a connected quandle is regular: the walk keeps a few
+    # commuting generators that close to it and reach every point from 0.
+    # Otherwise there is nothing to keep.
     flat = non_flat = 0
     for X in oracle_corpus():
         if not is_connected(X):
             continue
         dis = displacement_group(X)
+        gens = _flat_dis_generators(X)
         if all(compose(g, h) == compose(h, g) for g in dis for h in dis):
-            assert _flat_connected_dis(X) == list(dis.elements), X.table
+            assert gens and all(compose(g, h) == compose(h, g) for g in gens for h in gens)
+            assert closure(gens).elements == dis.elements, X.table
+            assert len(orbit(gens, 0)) == X.n == len(dis)
             flat += 1
         else:
-            assert _flat_connected_dis(X) is None, X.table
+            assert gens is None, X.table
             non_flat += 1
     assert (flat, non_flat) == (82, 426)
 
@@ -344,8 +348,8 @@ def test_flat_connected_dis_matches_the_closed_displacement_group():
 def test_flat_connected_dis_refuses_a_regular_non_abelian_group():
     # The rows are the left multiplications of S_3 = {a^i b^j} on itself:
     # Dis is S_3 acting regularly, so no two of its elements agree at 0.  The
-    # first generator lists <a>, the next one outside it is b, and its cosets
-    # fill the list; only the commute check shows that Dis is not abelian.
+    # walk keeps a, whose orbit of 0 is <a>; the next point outside it gives
+    # b, and only the commute check shows that Dis is not abelian.
     # Not a quandle, but `Quandle` checks only the shape.
     e, a, b = (0, 1, 2), (1, 2, 0), (0, 2, 1)
     powers = [e, a, compose(a, a)]
@@ -353,7 +357,7 @@ def test_flat_connected_dis_refuses_a_regular_non_abelian_group():
     index = {p: i for i, p in enumerate(S3)}
     X = Quandle([[index[compose(p, q)] for q in S3] for p in S3])
     assert is_connected(X) and len(displacement_group(X)) == 6
-    assert _flat_connected_dis(X) is None and not is_flat(X)
+    assert _flat_dis_generators(X) is None and not is_flat(X)
 
 
 def _generating_set(X):
@@ -369,7 +373,7 @@ def _generating_set(X):
 
 
 def test_generators_from_a_generating_set_close_dis_when_every_row_is_an_involution():
-    # The rule `_flat_connected_dis` rests on: if every row is an involution
+    # The rule `_flat_dis_generators` rests on: if every row is an involution
     # and S contains 0 and generates X, the s_a . s_0 for a in S generate Dis.
     # The condition is on every row: six disconnected quandles of order 5 have
     # an involutive s_0 and still break the rule.

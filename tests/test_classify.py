@@ -8,6 +8,7 @@ from conftest import (
     affine_quandle,
     connected_affine_quandles,
     every_table,
+    oracle_corpus,
     relabeled,
     transposition_quandle,
 )
@@ -21,6 +22,7 @@ from quandles import (
     classify_flat_connected,
     dihedral_quandle,
     direct_product,
+    displacement_group,
     find_isomorphism,
     is_connected,
     is_flat,
@@ -30,8 +32,10 @@ from quandles import (
     trivial_quandle,
     validate_quandle,
 )
-from quandles.classify import _dihedral_product
+from quandles.analysis import _flat_dis_generators
+from quandles.classify import _dihedral_product, _primary_factors
 from quandles.isomorphism import _point_profiles
+from quandles.perms import _torsion, perm_order
 
 KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
@@ -96,6 +100,33 @@ def test_abelian_invariants_of_three_cyclic_factors():
                     reverse=True,
                 )
                 assert abelian_invariants(G) == tuple(expected), (a, b, c)
+
+
+def _cyclic_sum_orders(factors):
+    """Sorted element orders of Z_q1 x ... x Z_qr, one per tuple of coordinates."""
+    orders = [1]
+    for q in factors:
+        orders = [math.lcm(o, q // math.gcd(k, q)) for o in orders for k in range(q)]
+    return sorted(orders)
+
+
+def test_factors_from_torsion_counts_match_the_element_orders_of_dis():
+    # The element orders of the closed Dis, counted, give the same factors
+    # through the same rule; and the abelian group with those factors has
+    # the same element orders, which determine a finite abelian group.
+    rng = random.Random(0)
+    reps = [rep for n in range(1, 106, 2) for rep in build_representatives(n)]
+    quandles = reps + [relabeled(rep, rng) for rep in reps]
+    quandles += [X for X in oracle_corpus() if is_connected(X) and is_flat(X)]
+    assert len(quandles) == 66 + 66 + 82
+    for X in quandles:
+        gens = _flat_dis_generators(X)
+        factors = _primary_factors(X.n, _torsion(gens, 0, X.n))
+        orders = [perm_order(h) for h in displacement_group(X)]
+        from_orders = _primary_factors(len(orders), lambda q: sum(q % o == 0 for o in orders))
+        assert factors == from_orders, X.table
+        assert _cyclic_sum_orders(factors) == sorted(orders), X.table
+        assert all(len(_prime_exponents(q)) == 1 for q in factors)
 
 
 def test_abelian_invariants_reject_nonabelian():

@@ -32,6 +32,7 @@ from quandles import (
     dihedral_quandle,
     direct_product,
     find_isomorphism,
+    is_flat,
     is_homogeneous,
     is_homomorphism,
     trivial_quandle,
@@ -248,6 +249,20 @@ def test_search_keeps_nothing_of_size_n_squared():
         tracemalloc.stop()
     assert w is not None and is_homomorphism(w, X, Y)
     assert peak < 5_000_000
+
+
+def test_flatness_keeps_nothing_of_size_n():
+    # Dis of R_729 has 729 elements of 729 points each, about 4 MB as tuples;
+    # the walk keeps a few generators of them and the orbit of 0.
+    X = relabeled(dihedral_quandle(729), random.Random(729))
+    tracemalloc.start()
+    try:
+        flat = is_flat(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flat
+    assert peak < 500_000
 
 
 def test_search_depth_does_not_depend_on_the_recursion_limit():

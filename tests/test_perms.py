@@ -30,8 +30,8 @@ from quandles import (
     stabilizer,
     trivial_quandle,
 )
-from quandles.analysis import _displacement_generators, _flat_connected_dis
-from quandles.perms import _regular_orders
+from quandles.analysis import _displacement_generators, _flat_dis_generators
+from quandles.perms import _commute, _commuting_orbit, _commuting_walk, _torsion
 
 perms_of_4 = st.permutations(range(4)).map(tuple)
 
@@ -225,23 +225,88 @@ def test_orbit_matches_exhaustive_search():
     assert partial > 0
 
 
-def test_regular_orders_match_cycles_through_0():
+def _prime_power_divisors(n):
+    """1 and every p^k dividing n, with p^(a+1) for each p^a exactly dividing it."""
+    out, p = [1], 2
+    while n > 1:
+        q = p
+        while n % p == 0:
+            n //= p
+            out.append(q)
+            q *= p
+        if q > p:
+            out.append(q)
+        p += 1
+    return out
+
+
+def test_torsion_counts_match_the_closed_displacement_group():
+    # #{h : h^q = 1}, read from a few commuting generators by orbit sizes
+    # alone, against the element orders of the closed group, for every
+    # prime power q up to one past each exactly dividing n.
     rng = random.Random(0)
     for n in range(1, 106, 2):
         for rep in build_representatives(n):
             for X in (rep, relabeled(rep, rng)):
-                dis = _flat_connected_dis(X)
-                assert [g[0] for g in dis] == list(range(n))
-                expected = [perm_order(g) for g in dis]
-                assert _regular_orders(dis, 0) == expected, X.table
+                gens = _flat_dis_generators(X)
+                dis = closure(gens)
+                assert dis.elements == displacement_group(X).elements
+                orders = [perm_order(h) for h in dis]
+                torsion = _torsion(gens, 0, n)
+                for q in _prime_power_divisors(n):
+                    assert torsion(q) == sum(q % o == 0 for o in orders), (X.table, q)
 
 
-def test_regular_orders_match_element_order():
+def test_torsion_counts_of_group_rows_match_element_order():
+    # The rows of an abelian group's table are its regular action: the walk
+    # keeps a few that generate it, and their counts are its element orders'.
     cyclic = [FiniteGroup.cyclic(m) for m in range(1, 13)]
     groups = cyclic + [FiniteGroup.direct(G, H) for G in cyclic for H in cyclic]
     for G in groups:
-        expected = [element_order(G, g) for g in range(G.order)]
-        assert _regular_orders(G.mul, G.identity) == expected
+        gens, reached = _commuting_walk(G.order, G.identity, G.mul.__getitem__)
+        assert sorted(reached) == list(range(G.order))
+        if gens:
+            assert closure(gens).elements == tuple(sorted(G.mul))
+        orders = [element_order(G, g) for g in range(G.order)]
+        torsion = _torsion(gens, G.identity, G.order)
+        for q in range(1, G.order + 2):
+            assert torsion(q) == sum(q % o == 0 for o in orders), (G.mul, q)
+
+
+def _commuting_sets(rng):
+    """Pairwise commuting generator sets, transitive or not: products of
+    powers of disjoint cycles, and rows of the table of an abelian group."""
+    for _ in range(300):
+        degree = rng.randint(1, 14)
+        points = list(range(degree))
+        rng.shuffle(points)
+        cycles = []
+        while points:
+            k = rng.randint(1, len(points))
+            cycles.append(points[:k])
+            points = points[k:]
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            g = list(range(degree))
+            for c in cycles:
+                e = rng.randrange(len(c))
+                for i, y in enumerate(c):
+                    g[y] = c[(i + e) % len(c)]
+            gens.append(tuple(g))
+        yield gens
+    cyclic = [FiniteGroup.cyclic(m) for m in range(1, 9)]
+    for G in cyclic + [FiniteGroup.direct(G, H) for G in cyclic for H in cyclic]:
+        yield rng.sample(G.mul, rng.randint(1, min(3, G.order)))
+
+
+def test_block_rule_orbit_matches_orbit():
+    rng = random.Random(19)
+    for gens in _commuting_sets(rng):
+        assert _commute(gens)
+        for base in range(len(gens[0])):
+            reached = _commuting_orbit(gens, base)
+            assert reached[0] == base and len(reached) == len(set(reached))
+            assert set(reached) == orbit(gens, base), (gens, base)
 
 
 def test_is_transitive():
