@@ -17,7 +17,7 @@ from operator import itemgetter
 from .core import Quandle
 from .isomorphism import _isomorphisms
 from .perms import (
-    PermutationGroup, _commute, _commuting_walk, closure, identity_perm, is_abelian, is_perm, orbit
+    PermutationGroup, _commute, _commuting_walk, closure, identity_perm, is_abelian, orbit
 )
 
 
@@ -76,8 +76,8 @@ def _flat_dis_generators(X: Quandle) -> list | None:
     times_s0 = itemgetter(*rows[0])
 
     def candidate(x):
-        g = times_s0(rows[x])  # s_x . s_0
-        if not is_perm(g, n):
+        g = times_s0(rows[x])  # s_x . s_0, of n entries in 0..n-1 by the shape check
+        if len(set(g)) < n:
             raise ValueError(f"not a permutation of degree {n}: {g}")
         return g
 

@@ -19,13 +19,15 @@ list.  Nothing is cached between calls.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import _flat_dis_generators, is_connected
 from .core import Quandle, _cyclic_table
 from .isomorphism import find_isomorphism
 from .perms import _commuting_walk, _torsion
-from .triplets import FiniteGroup
+
+if TYPE_CHECKING:
+    from .triplets import FiniteGroup
 
 
 class ClassificationError(Exception):

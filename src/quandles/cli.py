@@ -2,7 +2,8 @@
 
 Exit codes, project-wide: 0 success / affirmative, 1 negative answer or
 failed certificate, 2 usage error or malformed input.  Data goes to stdout,
-diagnostics to stderr.
+diagnostics to stderr.  Each command imports the modules it needs when it
+runs, so a process loads only what its own command uses.
 """
 
 from __future__ import annotations
@@ -12,14 +13,9 @@ import json
 import os
 import sys
 
-from .analysis import analyze, is_connected
-from .classify import (
-    ClassificationError,
-    classify_flat_connected,
-    odd_prime_power_multisets,
-    predicted_count,
-)
 from .core import (
+    BudgetExceededError,
+    ClosureLimitError,
     FormatError,
     _parse_json,
     dihedral_quandle,
@@ -29,21 +25,6 @@ from .core import (
     load_quandle_table,
     trivial_quandle,
     validate_quandle,
-)
-from .enumeration import (
-    BudgetExceededError,
-    enumerate_flat_connected_classes,
-    enumerate_quandles,
-)
-from .isomorphism import find_isomorphism
-from .perms import ClosureLimitError
-from .triplets import (
-    fix_set,
-    is_abelian_group,
-    parse_triplet,
-    quandle_from_triplet,
-    triplet_from_quandle,
-    triplet_to_obj,
 )
 
 
@@ -56,6 +37,8 @@ def _fail(message: str) -> None:
 
 
 def _load_triplet(path):
+    from .triplets import parse_triplet
+
     with open(path, encoding="utf-8") as fh:
         return parse_triplet(_parse_json(fh.read()))
 
@@ -91,6 +74,8 @@ def _cmd_make(args) -> int:
             raise FormatError("make product expects two quandle files")
         X = direct_product(load_quandle(params[0]), load_quandle(params[1]))
     else:  # "from-triplet": argparse `choices` rejects any other kind
+        from .triplets import quandle_from_triplet
+
         if len(params) != 1:
             raise FormatError("make from-triplet expects one triplet file")
         X = quandle_from_triplet(_load_triplet(params[0])).quandle
@@ -99,12 +84,16 @@ def _cmd_make(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import analyze
+
     X = load_quandle(args.file)
     _emit(analyze(X))
     return 0
 
 
 def _cmd_iso(args) -> int:
+    from .isomorphism import find_isomorphism
+
     X = load_quandle(args.left)
     Y = load_quandle(args.right)
     witness = find_isomorphism(X, Y)
@@ -116,6 +105,9 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_triplet(args) -> int:
+    from .analysis import is_connected
+    from .triplets import fix_set, is_abelian_group, triplet_from_quandle, triplet_to_obj
+
     X = load_quandle(args.file)
     connected = is_connected(X)
     derived = triplet_from_quandle(
@@ -139,6 +131,8 @@ def _cmd_triplet(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import ClassificationError, classify_flat_connected
+
     X = load_quandle(args.file)
     try:
         decomposition = classify_flat_connected(X)
@@ -157,6 +151,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .classify import odd_prime_power_multisets, predicted_count
+
     n = args.order
     _emit(
         {
@@ -179,6 +175,8 @@ def _enumeration_cap() -> int | None:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import enumerate_flat_connected_classes, enumerate_quandles
+
     cap = _enumeration_cap()
     if args.flat_connected:
         reps = enumerate_flat_connected_classes(args.order, args.budget, cap)
@@ -195,6 +193,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .classify import odd_prime_power_multisets
+
     if args.max < 1:
         raise FormatError("--max must be positive")
     for n in range(1, args.max + 1, 2):
@@ -279,7 +279,9 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     # Malformed input, invalid tables and triplets, and the order cap all
     # raise ValueError subclasses; the group cap of `triplet` raises
-    # ClosureLimitError.
+    # ClosureLimitError and the node budget of `enumerate`
+    # BudgetExceededError, both defined in `core` so that no command loads
+    # the modules that raise them just to catch them.
     try:
         return args.func(args)
     except (BudgetExceededError, ClosureLimitError, OSError, ValueError) as e:

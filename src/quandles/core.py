@@ -23,6 +23,14 @@ class FormatError(ValueError):
     """Input text does not parse as a quandle file."""
 
 
+class ClosureLimitError(RuntimeError):
+    """Closure grew past the configured element cap."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Node limit hit; any partial stream must be discarded."""
+
+
 class AxiomViolation(NamedTuple):
     axiom: str  # "Q1" | "Q2" | "Q3"
     witness: tuple[int, ...]
@@ -44,6 +52,9 @@ def _check_shape(table) -> tuple[tuple[int, ...], ...]:
     """Normalize an n x n Cayley table to a tuple-of-tuples with entries in 0..n-1.
 
     Shared by quandle and group tables; malformed input raises ValueError.
+    A row of plain ints between 0 and n-1 is accepted whole; the cells of any
+    other row are read one by one, to accept int subclasses but not bool and
+    to name the first bad entry.
     """
     rows = tuple(tuple(row) for row in table)
     n = len(rows)
@@ -52,6 +63,8 @@ def _check_shape(table) -> tuple[tuple[int, ...], ...]:
     for x, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {x} has {len(row)} entries, expected {n}")
+        if set(map(type, row)) <= {int} and min(row) >= 0 and max(row) < n:
+            continue
         for y, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"entry [{x}][{y}] = {v!r} is not an integer")
@@ -131,10 +144,58 @@ def validate_quandle(table) -> list[AxiomViolation]:
     Malformed input (non-square table, out-of-range or non-integer entries)
     raises ValueError before any axiom is examined.  (Q3) says that each
     row is an endomorphism of the table, so it is decided a whole row at a
-    time by `_preserves`; the cells of a row are read only when it fails, to
-    list its witnesses (x, y, z) in ascending order.
+    time by `_preserves`, and once every row is a permutation only on the
+    rows of the generating set S of `_generators`.
+
+    Why S is enough: if s_a is an automorphism, then s_a(s_b(z)) =
+    s_{s_a(b)}(s_a(z)) says s_{s_a(b)} = s_a s_b s_a^-1, an automorphism
+    whenever s_b is one.  So once every row of S is an automorphism, the
+    points whose rows are automorphisms form a set that contains S and is
+    closed under every s_a with a in S.  That set holds the closure of S
+    under those rows, which is all of X.
+
+    If a row of S fails, or some row is not a permutation, every row is
+    checked; the cells of a failing row are read only to list its witnesses
+    (x, y, z) in ascending order.
     """
     return _violations(_check_shape(table))
+
+
+def _generators(rows) -> list[int]:
+    """The least-first generating set S of a table: S grows from 0 by the
+    least point that the closure of S under the rows of S has not reached.
+
+    The closure grows incrementally: a new point gets every row of S, and a
+    new row is read at every point reached before it, so each pair of a
+    point and a row of S is looked up once.  For a quandle the closure is
+    the orbit of S under <s_a : a in S>; for a group table, where row b
+    sends c to bc, it holds products of points of S.
+    """
+    n = len(rows)
+    seen = bytearray(n)
+    reached, S, gens = [], [], []
+    for p in range(n):
+        if seen[p]:
+            continue
+        S.append(p)
+        row = rows[p]
+        gens.append(row)
+        i = len(reached)
+        for y in (p, *map(row.__getitem__, reached)):
+            if not seen[y]:
+                seen[y] = 1
+                reached.append(y)
+        while i < len(reached):
+            y = reached[i]
+            i += 1
+            for g in gens:
+                z = g[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    reached.append(z)
+        if len(reached) == n:
+            break
+    return S
 
 
 def _violations(rows) -> list[AxiomViolation]:
@@ -150,6 +211,8 @@ def _violations(rows) -> list[AxiomViolation]:
     # (Q3) is only meaningful on rows that are permutations; a non-bijective
     # row is already reported and would produce noise triples here.
     bad_rows = {v.witness[0] for v in violations if v.axiom == "Q2"}
+    if not bad_rows and all(_preserves(rows[a], rows, rows) for a in _generators(rows)):
+        return violations
     for x in range(n):
         rx = rows[x]
         if x in bad_rows or _preserves(rx, rows, rows):

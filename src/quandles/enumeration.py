@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .analysis import is_connected, is_flat
-from .core import Quandle
+from .core import BudgetExceededError, Quandle
 from .isomorphism import find_isomorphism
 
 DEFAULT_MAX_ORDER = 6
@@ -25,10 +25,6 @@ DEFAULT_MAX_ORDER = 6
 
 class OrderCapError(ValueError):
     """Requested order exceeds the configured enumeration cap."""
-
-
-class BudgetExceededError(RuntimeError):
-    """Node limit hit; any partial stream must be discarded."""
 
 
 def _row_candidates(n: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -13,11 +13,9 @@ import math
 from itertools import combinations
 from operator import itemgetter
 
+from .core import ClosureLimitError
+
 Perm = tuple[int, ...]
-
-
-class ClosureLimitError(RuntimeError):
-    """Closure grew past the configured element cap."""
 
 
 def identity_perm(degree: int) -> Perm:

@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .analysis import _displacement_generators
-from .core import Quandle, _check_shape, _cyclic_table, _preserves, _product_table
+from .core import Quandle, _check_shape, _cyclic_table, _generators, _preserves, _product_table
 from .perms import PermutationGroup, closure, compose, inverse, is_perm, orbit, perm_order
 
 # The derivation builds the |G|^2 table of G; at 2,520 elements that takes
@@ -44,7 +44,12 @@ class FiniteGroup:
     constructor first puts the table through the same shape check as a
     quandle table, and afterwards checks associativity a whole row pair at a
     time: a(bc) = (ab)c for every c says that row a after row b is row ab.
-    The cells are read only to name the first failing (a, b, c).  Internal
+    By Light's test this is needed only for b in the generating set of
+    `core._generators`, whose products give every element: the b for which
+    it holds for every a are closed under products, since
+    a((bb')c) = a(b(b'c)) = (ab)(b'c) = ((ab)b')c = (a(bb'))c.
+    If it fails, every pair is checked, and the cells are read only to name
+    the first failing (a, b, c).  Internal
     builders (cyclic, direct, from_permutations) pass `_trusted=True` and
     skip both checks, as the `Quandle` builders do: their rows must already
     be a tuple of m tuples of ints in 0..m-1 that is associative.
@@ -64,7 +69,9 @@ class FiniteGroup:
             inv.append(_first_index(row, identity, lambda h: rows[h][g] == identity))
             if inv[g] < 0:
                 raise ValueError(f"element {g} has no inverse")
-        if not _trusted:
+        if not _trusted and not all(
+            compose(ra, rows[b]) == rows[ra[b]] for b in _generators(rows) for ra in rows
+        ):
             for a, ra in enumerate(rows):
                 for b, rb in enumerate(rows):
                     rab = rows[ra[b]]

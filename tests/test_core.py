@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import affine5, every_table
+from conftest import affine5, every_table, oracle_corpus
 from quandles import (
     FiniteGroup,
     FormatError,
@@ -26,7 +26,7 @@ from quandles import (
     trivial_quandle,
     validate_quandle,
 )
-from quandles.core import _check_shape, _product_table
+from quandles.core import _check_shape, _generators, _preserves, _product_table
 
 
 def test_validate_dihedral3():
@@ -128,6 +128,115 @@ def test_validate_matches_cell_loops_on_perturbed_quandles():
             assert violations == brute_force_violations(table)
             kinds |= {v.axiom for v in violations}
     assert kinds == {"Q1", "Q2", "Q3"}
+
+
+def one_cell_changes(table):
+    """Every table made from `table` by setting one cell to another value,
+    which leaves its row no permutation, or by swapping two cells of one
+    row, which keeps every row a permutation."""
+    n = len(table)
+    for x, y in product(range(n), repeat=2):
+        for v in range(n):
+            if v != table[x][y]:
+                out = [list(row) for row in table]
+                out[x][y] = v
+                yield out
+        for z in range(y + 1, n):
+            out = [list(row) for row in table]
+            out[x][y], out[x][z] = out[x][z], out[x][y]
+            yield out
+
+
+def test_validate_matches_cell_loops_on_one_cell_changes():
+    # The swaps reach the check on the generating rows: every row is a
+    # permutation, and some tables break (Q3) only on rows outside S.
+    kinds = set()
+    for X in (dihedral_quandle(9), direct_product(dihedral_quandle(3), dihedral_quandle(3)), affine5()):
+        for table in one_cell_changes(X.table):
+            violations = validate_quandle(table)
+            assert violations == brute_force_violations(table)
+            kinds |= {v.axiom for v in violations}
+    assert kinds == {"Q1", "Q2", "Q3"}
+
+
+def test_validate_matches_cell_loops_on_the_oracle_corpus():
+    # Larger inputs are checked row by row against the definition of (Q3):
+    # the cell loop over every triple would take n^3 steps in Python.
+    for X in oracle_corpus():
+        t = X.table
+        if X.n <= 15:
+            assert validate_quandle(t) == brute_force_violations(t)
+        else:
+            assert all(_preserves(row, t, t) for row in t)
+            assert validate_quandle(t) == []
+
+
+def closure_under_rows(t, points) -> set:
+    """The points reached from `points` by the rows of `points`."""
+    reached, stack = set(points), list(points)
+    while stack:
+        y = stack.pop()
+        for a in points:
+            if t[a][y] not in reached:
+                reached.add(t[a][y])
+                stack.append(t[a][y])
+    return reached
+
+
+def test_generators_reach_every_point_and_are_least_first():
+    rng = random.Random(1)
+    tables = [X.table for X in oracle_corpus()[::7]]
+    tables += [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for n in range(1, 9)]
+    for t in tables:
+        n = len(t)
+        S = _generators(t)
+        assert closure_under_rows(t, S) == set(range(n))
+        assert S[0] == 0
+        for i in range(1, len(S)):
+            assert S[i] == min(set(range(n)) - closure_under_rows(t, S[:i]))
+    assert _generators(trivial_quandle(6).table) == list(range(6))
+    assert _generators(dihedral_quandle(101).table) == [0, 1]
+
+
+def cell_loop_shape(table):
+    """The shape check cell by cell, as the definition reads."""
+    rows = tuple(tuple(row) for row in table)
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty table: at least one element is required")
+    for x, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {x} has {len(row)} entries, expected {n}")
+        for y, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"entry [{x}][{y}] = {v!r} is not an integer")
+            if not 0 <= v < n:
+                raise ValueError(f"entry [{x}][{y}] = {v} out of range 0..{n - 1}")
+    return rows
+
+
+class Label(int):
+    """An int subclass: accepted as an entry, like a plain int."""
+
+
+def test_shape_check_by_rows_matches_the_cell_loop():
+    good = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+    tables = [good, [], [[0]], [[True]], [[0, 1], [0]], [[0, 1, 2]] * 2]
+    for x, y in product(range(3), repeat=2):
+        for v in (-1, 3, 1.0, True, False, "1", None, Label(1), Label(5), 10**30, -(10**30)):
+            t = [list(row) for row in good]
+            t[x][y] = v
+            tables.append(t)
+    tables.append([[0, "a", 1], [2, 1, 0], [1, 0, 2]])  # min() of this row raises TypeError
+    for t in tables:
+        try:
+            expected = cell_loop_shape(t)
+        except ValueError as e:
+            with pytest.raises(ValueError) as exc:
+                _check_shape(t)
+            assert str(exc.value) == str(e)
+        else:
+            assert _check_shape(t) == expected
 
 
 def test_as_quandle_raises_with_violations():

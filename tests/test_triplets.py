@@ -128,6 +128,46 @@ def test_finite_group_errors_match_cell_loops():
     assert associativity >= 50
 
 
+def test_finite_group_errors_match_cell_loops_on_non_abelian_tables():
+    # Associativity is checked on the rows of a generating set (Light's
+    # test), and the first failing (a, b, c) is still the cell loop's.
+    from quandles import closure
+
+    rng = random.Random(1)
+    groups = [
+        s3_group(),
+        FiniteGroup.from_permutations(closure([(1, 2, 3, 0), (0, 3, 2, 1)]).elements),
+        FiniteGroup.direct(s3_group(), FiniteGroup.cyclic(2)),
+        FiniteGroup.from_permutations(closure([(1, 0, 2, 3), (1, 2, 3, 0)]).elements),
+    ]
+    tables = []
+    for G in groups:  # each as built, with the identity at 0, and relabelled
+        m = G.order
+        r = list(range(m))
+        rng.shuffle(r)
+        back = sorted(range(m), key=r.__getitem__)
+        tables += [G.mul, [[r[G.mul[back[a]][back[b]]] for b in range(m)] for a in range(m)]]
+    associativity = 0
+    for mul in tables:
+        m = len(mul)
+        for _ in range(80):
+            table = [list(row) for row in mul]
+            x, y, z = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+            if rng.random() < 0.5:  # a swap keeps row x a permutation
+                table[x][y], table[x][z] = table[x][z], table[x][y]
+            else:
+                table[x][y] = z
+            expected = brute_force_group_error(table)
+            if expected is None:
+                assert FiniteGroup(table).mul == tuple(map(tuple, table))
+                continue
+            with pytest.raises(ValueError) as exc:
+                FiniteGroup(table)
+            assert str(exc.value) == expected
+            associativity += expected.startswith("not associative")
+    assert associativity >= 300
+
+
 def test_cyclic_group_adds_mod_n():
     for n in range(1, 61):
         mul = FiniteGroup.cyclic(n).mul
