@@ -6,7 +6,9 @@ connectivity the orbit of the rows, flatness a few commuting generators of
 Dis, kept by a walk over the points whose orbit of 0 grows by the block rule
 (`_flat_dis_generators`), and homogeneity automorphisms from 0, each to the
 largest point not yet reached, since one found reaches the inner orbit of
-every point on its cycle of 0.
+every point on its cycle of 0.  `analyze` reads |Dis| and |Inn| of a flat
+connected quandle off the same walk, which proves Dis regular, and closes
+Dis only for other inputs.
 Nothing is cached between calls.
 """
 
@@ -145,15 +147,24 @@ def is_homogeneous(X: Quandle) -> bool:
 
 
 def analyze(X: Quandle) -> dict:
-    """Full predicate report, in the shape used by the CLI; Inn is never closed."""
-    dis = displacement_group(X)
+    """Full predicate report, in the shape used by the CLI; Inn is never
+    closed, and Dis only if X is not flat and connected: then the walk of
+    `is_flat` proves Dis regular, so |Dis| = n, and s_0, which fixes 0, is in
+    Dis only if n = 1.  Like `is_flat`, the report is exact on quandles."""
+    connected = is_connected(X)
+    if connected and _flat_dis_generators(X):
+        flat, dis_order, inn_order = True, X.n, 2 * X.n if X.n > 1 else 1
+    else:
+        dis = displacement_group(X)
+        flat, dis_order = is_abelian(dis), len(dis)
+        # Inn = Dis u s_0 Dis: each s_x = (s_x . s_0) s_0^-1, and s_0^2 is in Dis.
+        inn_order = len(dis) * (1 if X.table[0] in dis else 2)
     return {
         "n": X.n,
-        "connected": is_connected(X),
-        "flat": is_abelian(dis),
+        "connected": connected,
+        "flat": flat,
         "involutive": is_involutive(X),
         "homogeneous": is_homogeneous(X),
-        # Inn = Dis u s_0 Dis: each s_x = (s_x . s_0) s_0^-1, and s_0^2 is in Dis.
-        "inn_order": len(dis) * (1 if X.table[0] in dis else 2),
-        "dis_order": len(dis),
+        "inn_order": inn_order,
+        "dis_order": dis_order,
     }

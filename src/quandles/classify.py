@@ -21,10 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .analysis import _flat_dis_generators, is_connected
 from .core import Quandle, _cyclic_table
-from .isomorphism import find_isomorphism
-from .perms import _commuting_walk, _torsion
 
 if TYPE_CHECKING:
     from .triplets import FiniteGroup
@@ -152,10 +149,12 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
     G, which they generate, is abelian: the walk stops at the first pair
     that does not.
     """
-    walk = _commuting_walk(G.order, G.identity, G.mul.__getitem__)
+    from . import perms
+
+    walk = perms._commuting_walk(G.order, G.identity, G.mul.__getitem__)
     if walk is None:
         raise ValueError("group is not abelian")
-    return _primary_factors(G.order, _torsion(walk[0], G.identity, G.order))
+    return _primary_factors(G.order, perms._torsion(walk[0], G.identity, G.order))
 
 
 def classify_flat_connected(X: Quandle) -> FlatDecomposition:
@@ -178,15 +177,17 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     factors are right.  A table that breaks the axioms raises ValueError,
     ClassificationError or TheoremViolationError and is never decomposed.
     """
-    if not is_connected(X):
+    from . import analysis, isomorphism, perms
+
+    if not analysis.is_connected(X):
         raise ClassificationError("not-connected", f"order-{X.n} quandle is disconnected")
-    gens = _flat_dis_generators(X)
+    gens = analysis._flat_dis_generators(X)
     if gens is None:
         raise ClassificationError("not-flat", f"order-{X.n} quandle has a non-commutative displacement group")
     if not gens:
         raise TheoremViolationError(f"abelian displacement group does not act regularly: {X.table}")
-    factors = _primary_factors(X.n, _torsion(gens, 0, X.n))
-    witness = find_isomorphism(X, _dihedral_product(factors))
+    factors = _primary_factors(X.n, perms._torsion(gens, 0, X.n))
+    witness = isomorphism.find_isomorphism(X, _dihedral_product(factors))
     if witness is None:
         raise TheoremViolationError(
             f"no isomorphism onto the dihedral product {factors}: {X.table}"

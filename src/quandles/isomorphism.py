@@ -15,7 +15,12 @@ the rows for automorphisms), but every map it yields is one.
 Tables that are not isomorphic are told apart before the search is set up,
 as early as the profiles allow: the profiles of Y are computed against those
 of X and stop where the sorted lists would first differ (see
-`_point_profiles`), so every answer and witness is the one the full lists give."""
+`_point_profiles`), so every answer and witness is the one the full lists give.
+
+The search also uses the symmetry of a quandle (see `_isomorphisms`): a
+search of X against itself compares only the heads of the profiles, f(0)
+tries one image per inner orbit of Y, and `automorphism_group` lists Aut as
+Inn . Aut_0 (McKay and Piperno's pruning by automorphisms known in advance)."""
 
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from itertools import groupby, islice
 from math import gcd
 from operator import itemgetter
 
-from .core import Quandle, _preserves
+from .core import Quandle, _generators, _preserves
 from .perms import (
     PermutationGroup, compose, cycle_lengths, identity_perm, inverse, orbit, perm_order
 )
@@ -41,7 +46,9 @@ def is_homomorphism(f, X: Quandle, Y: Quandle) -> bool:
     return _preserves(f, X.table, Y.table)
 
 
-def _point_profiles(X: Quandle, against: list | None = None) -> list | None:
+def _point_profiles(
+    X: Quandle, against: list | None = None, heads_only: bool = False
+) -> list | None:
     """Per-point invariant: (inner orbit size, cycle type of s_y, number of x
     with s_x(y) = y, sorted orders of s_x . s_y over all x).
 
@@ -71,6 +78,9 @@ def _point_profiles(X: Quandle, against: list | None = None) -> list | None:
     orbit's profile is not written over (`_stands`).  A finished profile that
     X' has takes the equal tuple of X', so the final comparison of the sorted
     lists and the search's matching of points are by identity.
+
+    With `heads_only`, each profile is its head alone and no order is
+    computed; a search of X against itself takes these (see `_isomorphisms`).
     """
     rows = X.table
     ident = identity_perm(X.n)
@@ -81,6 +91,10 @@ def _point_profiles(X: Quandle, against: list | None = None) -> list | None:
         if profiles[y] is None:
             orb = orbit(rows, y)
             head = (len(orb), cycle_lengths(ry), sum(r[y] == y for r in rows))
+            if heads_only:
+                for z in orb:
+                    profiles[z] = head
+                continue
             if against is not None:
                 i = bisect_left(ranked, head)  # a head sorts before the profiles it starts
                 if (i == len(ranked) or ranked[i][:3] != head) and _stands(rows, profiles, y, orb):
@@ -186,23 +200,33 @@ def _generation_order(X: Quandle) -> tuple[list[int], list]:
 
 def _isomorphisms(X: Quandle, Y: Quandle):
     """Set up once, the search for isomorphisms X -> Y: a function of the
-    images to try for f(0), by default all its candidates, that returns a
-    generator of the isomorphisms in search order.
+    images to try for f(0) that returns a generator of the isomorphisms in
+    search order.  By default f(0) tries the least candidate in each inner
+    orbit of Y: Inn(Y) acts on the isomorphisms by g -> g . f, so some f
+    sends 0 to c exactly when one sends it to each point of c's orbit.  A
+    connected Y, which the head of any profile of Y tells, has one orbit, so
+    f(0) tries only the least candidate, 0 on quandles.
 
     Y's profiles are computed against X's, and the search yields nothing as
     soon as they differ (see `_point_profiles`), which is the answer the
-    complete lists give.  Assigns the points of X in generation order.  A
-    start tries the points of Y with its profile; any other point t = s_a(b)
-    is pinned to s_f(a)(f(b)).  Only the starts' rows prune, each cell once
-    its three points are assigned.
+    complete lists give.  A self-search (Y is X) needs no refutation, and
+    takes only the heads: every automorphism keeps the full profiles, so a
+    candidate the orders would have refused is a dead branch that the row
+    checks close, and on quandles the maps yielded are the same.  Assigns
+    the points of X in generation order.  A start tries the points of Y with
+    its profile; any other point t = s_a(b) is pinned to s_f(a)(f(b)).  Only
+    the starts' rows prune, each cell once its three points are assigned.
     A complete map is yielded only if `_preserves` certifies it, which never
     fails on quandles (see the module docstring).  The stack holds one
     iterator over the options of each point assigned so far.  The search is
     complete on quandles.  On other tables it may miss an isomorphism, but
     every map it yields is one."""
     n = X.n
-    px = _point_profiles(X)
-    py = px if Y is X else _point_profiles(Y, px)
+    if Y is X:
+        px = py = _point_profiles(X, heads_only=True)
+    else:
+        px = _point_profiles(X)
+        py = _point_profiles(Y, px)
     if py is None:
         return lambda images=None: iter(())
     order, pins = _generation_order(X)
@@ -214,7 +238,10 @@ def _isomorphisms(X: Quandle, Y: Quandle):
             checks[max(level[a], level[b], level[t])].append((a, b, t))
 
     def isomorphisms(images=None):
-        first = candidates[0] if images is None else [y for y in images if y in candidates[0]]
+        if images is None:  # the least candidate of each inner orbit of Y
+            first = candidates[0][:1] if py[0][0] == n else _least_per_orbit(yt, candidates[0])
+        else:
+            first = [y for y in images if y in candidates[0]]
         f, used, stack = [-1] * n, [False] * n, [iter(first)]
         while stack:
             k = len(stack) - 1
@@ -244,12 +271,25 @@ def _isomorphisms(X: Quandle, Y: Quandle):
     return isomorphisms
 
 
+def _least_per_orbit(rows, points) -> list:
+    """The least of the ascending `points` in each inner orbit that holds one."""
+    least, reached = [], set()
+    for c in points:
+        if c not in reached:
+            least.append(c)
+            reached |= orbit(rows, c)
+    return least
+
+
 def find_isomorphism(X: Quandle, Y: Quandle):
     """The first isomorphism X -> Y that the search yields, or None.
 
     Deterministic: candidates are tried in ascending index order, so X against
-    itself always yields the identity.  The search is complete on quandles.
-    On other tables it may miss an isomorphism, but every map it yields is one."""
+    itself always yields the identity.  f(0) tries only the least candidate
+    of each inner orbit of Y, which gives the same witness on quandles: the
+    first candidate that extends is the least of its orbit, since all of its
+    orbit extend.  The search is complete on quandles.  On other tables it
+    may miss an isomorphism, but every map it yields is one."""
     if X.n != Y.n:
         return None
     if X.table == Y.table:
@@ -257,7 +297,40 @@ def find_isomorphism(X: Quandle, Y: Quandle):
     return next(_isomorphisms(X, Y)(), None)
 
 
+def _transversal(gens, c: int, degree: int) -> list:
+    """One element g_z of <gens> with g_z(c) = z for each z in the orbit of
+    c, read off a breadth-first tree: g_c is the identity and g_s(z) = s . g_z."""
+    tree, points, seen = [identity_perm(degree)], [c], {c}
+    for g, z in zip(tree, points):  # both grow while they are read
+        for s in gens:
+            if s[z] not in seen:
+                seen.add(s[z])
+                points.append(s[z])
+                tree.append(itemgetter(*g)(s))
+    return tree
+
+
 def automorphism_group(X: Quandle) -> PermutationGroup:
-    """Every isomorphism X -> X that the search yields; contains every row."""
-    autos = sorted(_isomorphisms(X, X)())
-    return PermutationGroup(X.n, autos, autos)
+    """The automorphisms of X, listed as Aut = Inn . Aut_0 on each inner
+    orbit; contains every row.
+
+    One search from the least candidate c of each inner orbit lists the f
+    with f(0) = c (Aut_0 alone on a connected X).  Each is composed with a
+    transversal of c's orbit, one inner element g_z with g_z(c) = z per
+    point z: an automorphism h with h(0) in the orbit is g_z . f for z = h(0)
+    and no other pair.  The transversals use the rows of the least-first
+    generating set of `core._generators` that are bijections preserving the
+    table.  On quandles that is all of them, and they generate Inn, since
+    s_{s_a(b)} = s_a s_b s_a^-1 (see `core.validate_quandle`), so the list is
+    all of Aut; on any table every map listed is an automorphism.
+    """
+    rows, n = X.table, X.n
+    gens = [rows[a] for a in _generators(rows)]
+    inner = [s for s in gens if len(set(s)) == n and _preserves(s, rows, rows)]
+    autos, trees = [], {}
+    for f in _isomorphisms(X, X)():
+        if f[0] not in trees:
+            trees[f[0]] = _transversal(inner, f[0], n)
+        autos += map(itemgetter(*f) if n > 1 else tuple, trees[f[0]])  # g -> g . f
+    autos.sort()
+    return PermutationGroup(n, autos, autos)

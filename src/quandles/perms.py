@@ -149,10 +149,25 @@ def _torsion(gens, base: int, order: int):
     h -> h^q is an endomorphism of H, whose image is generated by the g^q.
     H acts regularly, so a subgroup's order is the size of its orbit of
     `base`, read by `_commuting_orbit`; the count is the kernel's order,
-    |H| / |<g^q>.base|.  Nothing is listed but points.  It is asked only
-    for q sharing a prime with |H|, so H has the 2 points `_power` needs.
+    |H| / |<g^q>.base|.  Nothing is listed but points.  The g^q are raised
+    from those kept for the largest q asked before that divides q, so p,
+    p^2, ... each take a p-th power.  A power fixing `base` is dropped: it
+    commutes with the rest, so it fixes their orbit of `base`, as do its
+    powers.  It is asked only for q sharing a prime with |H|, so H has the
+    2 points `_power` needs.
     """
-    return lambda q: order // len(_commuting_orbit([_power(g, q) for g in gens], base))
+    powers = {1: gens}
+
+    def count(q):
+        r = 1
+        for s in powers:
+            if q % s == 0 and s > r:
+                r = s
+        e = q // r
+        powers[q] = kept = [h for g in powers[r] if (h := _power(g, e))[base] != base]
+        return order // len(_commuting_orbit(kept, base))
+
+    return count
 
 
 def perm_order(p: Perm) -> int:

@@ -92,13 +92,28 @@ def every_table(n: int):
 
 
 def brute_force_automorphisms(X: Quandle) -> list[tuple[int, ...]]:
-    """All automorphisms by scanning every one of the n! bijections."""
+    """All automorphisms, by scanning the n! bijections in ascending order as
+    a tree of prefixes p(0), ..., p(k): a prefix is cut at a cell (x, y)
+    with x, y and s_x(y) at most k where p(s_x(y)) != s_p(x)(p(y)), since
+    every bijection that extends it fails there too."""
     n, t = X.n, X.table
-    return sorted(
-        p
-        for p in permutations(range(n))
-        if all(p[t[x][y]] == t[p[x]][p[y]] for x in range(n) for y in range(n))
-    )
+    cells = [[] for _ in range(n)]  # by the largest point of x, y and s_x(y)
+    for x, y in product(range(n), repeat=2):
+        cells[max(x, y, t[x][y])].append((x, y))
+    found, p = [], []
+
+    def extend(free):
+        if p and any(p[t[x][y]] != t[p[x]][p[y]] for x, y in cells[len(p) - 1]):
+            return
+        if not free:
+            found.append(tuple(p))
+        for c in sorted(free):
+            p.append(c)
+            extend(free - {c})
+            p.pop()
+
+    extend(set(range(n)))
+    return found
 
 
 def small_corpus() -> list[Quandle]:

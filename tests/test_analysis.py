@@ -29,7 +29,7 @@ from quandles import (
     is_involutive,
     trivial_quandle,
 )
-from quandles import analysis, isomorphism
+from quandles import analysis, isomorphism, perms
 from quandles.analysis import _flat_dis_generators
 from quandles.perms import compose, identity_perm, inverse, is_abelian, is_transitive, orbit
 
@@ -306,6 +306,23 @@ def test_analyze_report():
     others += [affine_quandle(p, t) for p in (5, 7, 11, 13) for t in range(2, p)]
     for X in small_corpus() + others:
         assert analyze(X)["inn_order"] == len(inner_group(X))
+
+
+def test_analyze_of_a_flat_connected_quandle_closes_no_group(monkeypatch):
+    # The walk of the flatness check proves Dis regular, so both orders are
+    # read off n, and neither Dis nor Inn is listed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was closed")
+
+    monkeypatch.setattr(analysis, "closure", refuse)
+    monkeypatch.setattr(perms, "closure", refuse)
+    R33 = relabeled(direct_product(dihedral_quandle(3), dihedral_quandle(3)), random.Random(33))
+    for X in (dihedral_quandle(15), R33):
+        assert analyze(X) == {
+            "n": X.n, "connected": True, "flat": True, "involutive": True,
+            "homogeneous": True, "inn_order": 2 * X.n, "dis_order": X.n,
+        }
+    assert analyze(trivial_quandle(1))["inn_order"] == 1
 
 
 def test_repeated_calls_keep_no_quandle_alive():

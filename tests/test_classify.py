@@ -344,7 +344,7 @@ def test_representatives_pairwise_non_isomorphic_small():
                 assert find_isomorphism(reps[i], reps[j]) is None
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_affine_census_at_orders_p_and_p_squared(p):
     quandles = connected_affine_quandles(p)
     assert all(is_connected(X) for X in quandles)

@@ -145,6 +145,44 @@ def test_automorphism_group_matches_brute_force():
         assert list(automorphism_group(X).elements) == brute_force_automorphisms(X)
 
 
+def test_automorphism_group_matches_brute_force_on_relabelled_disconnected_quandles():
+    # Aut = Inn . Aut_0 on each inner orbit: one stabilizer search from the
+    # least candidate of each orbit, times a transversal of that orbit.
+    rng = random.Random(21)
+    bases = [trivial_quandle(n) for n in (6, 7, 8)]
+    bases += [dihedral_quandle(n) for n in range(4, 15, 2)]
+    bases += [
+        direct_product(dihedral_quandle(m), trivial_quandle(k))
+        for m, k in ((3, 2), (3, 3), (5, 2), (4, 2), (3, 4))
+    ]
+    for X in bases:
+        Y = relabeled(X, rng)
+        assert list(automorphism_group(Y).elements) == brute_force_automorphisms(Y), X.table
+
+
+def test_one_image_per_inner_orbit_gives_the_witness_of_every_image():
+    # find_isomorphism tries f(0) only at the least candidate of each inner
+    # orbit of Y; trying every point gives the same first witness.  In the
+    # pinned-point quandle relabelled, 0 may be the point no automorphism
+    # moves, so the witness must send 0 outside the orbit of 0.
+    rng = random.Random(5)
+    inputs = labelled_quandles_to_order_5() + [
+        disjoint_union(dihedral_quandle(3), trivial_quandle(1)),
+        disjoint_union(dihedral_quandle(5), dihedral_quandle(3)),
+        direct_product(dihedral_quandle(3), trivial_quandle(2)),
+        dihedral_quandle(12),
+    ]
+    outside = 0
+    for X in inputs:
+        for _ in range(3):
+            Y = relabeled(X, rng)
+            w = find_isomorphism(X, Y)
+            assert w == next(_isomorphisms(X, Y)(range(X.n)), None), (X.table, Y.table)
+            assert w is not None and is_homomorphism(w, X, Y)
+            outside += w[0] not in orbit(Y.table, 0)
+    assert outside > 0
+
+
 def test_automorphism_group_contains_rows():
     for X in small_corpus():
         aut = automorphism_group(X)

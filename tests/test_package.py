@@ -61,3 +61,6 @@ def test_validate_and_predict_load_neither_triplets_nor_enumeration(tmp_path):
         assert status == 0
         assert "quandles.triplets" not in loaded and "quandles.enumeration" not in loaded
     assert run_python(code, "validate", str(path))[1] == ["quandles", "quandles.cli", "quandles.core"]
+    assert run_python(code, "predict", "45")[1] == [
+        "quandles", "quandles.classify", "quandles.cli", "quandles.core"
+    ]
