@@ -132,7 +132,7 @@ def is_homogeneous(X: Quandle) -> bool:
     reached = orbit(rows, 0)
     if len(reached) == X.n:
         return True
-    isomorphisms = _isomorphisms(X, X)
+    isomorphisms = _isomorphisms(X, X, isomorphic=True)
     for y in reversed(range(X.n)):
         if y not in reached:
             f = next(isomorphisms((y,)), None)

@@ -40,10 +40,11 @@ class TheoremViolationError(RuntimeError):
     product read off it.
 
     For a flat connected quandle neither can happen with a correct
-    implementation.  It is also how a table that breaks the axioms can fail,
-    since `Quandle` checks only the shape and no isomorphism witness exists
-    for it.  The message carries the offending table so the failure can be
-    reproduced.
+    implementation, and `Quandle(table)` admits only quandles.  A table that
+    breaks the axioms reaches `classify_flat_connected` only through the
+    private `_trusted=True` path, and it can fail here, since no isomorphism
+    witness exists for it.  The message carries the offending table so the
+    failure can be reproduced.
     """
 
 
@@ -160,8 +161,8 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
 def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     """Decompose a flat connected quandle into odd-prime-power dihedral factors.
 
-    X must be a quandle; raw tables are validated by `as_quandle` or
-    `load_quandle`.  Connectivity and flatness are verified, not assumed: a
+    X is a quandle: `Quandle(table)`, `as_quandle` and `load_quandle` check
+    the axioms.  Connectivity and flatness are verified, not assumed: a
     disconnected or non-flat quandle is an error naming the failed
     certificate.  Flatness comes from `_flat_dis_generators`, which keeps a
     few commuting generators of Dis by a walk over the points: a transitive
@@ -171,10 +172,14 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     `_primary_factors` from its torsion counts: h -> h^q is an endomorphism
     of the abelian Dis with image <g^q : g kept>, so #{h : h^q = 1} = n /
     |<g^q : g kept>.0|, and that orbit grows by the block rule (`_torsion`).
-    The isomorphism witness onto the dihedral product of the factors is the
-    one certificate: it satisfies the homomorphism equation on all n^2
+    The isomorphism witness onto the dihedral product P of the factors is
+    the one certificate: it satisfies the homomorphism equation on all n^2
     pairs, so it also certifies that X satisfies the axioms and that the
-    factors are right.  A table that breaks the axioms raises ValueError,
+    factors are right.  It is the identity if X's table is P's; else the
+    source paper's theorem says that X is isomorphic to P, so the search is
+    told so and takes the profile heads only (see `isomorphism._isomorphisms`):
+    on this connected pair its candidates, and so its witness, are those of
+    `find_isomorphism`.  A table that breaks the axioms raises ValueError,
     ClassificationError or TheoremViolationError and is never decomposed.
     """
     from . import analysis, isomorphism, perms
@@ -187,7 +192,11 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     if not gens:
         raise TheoremViolationError(f"abelian displacement group does not act regularly: {X.table}")
     factors = _primary_factors(X.n, perms._torsion(gens, 0, X.n))
-    witness = isomorphism.find_isomorphism(X, _dihedral_product(factors))
+    P = _dihedral_product(factors)
+    if X.table == P.table:
+        witness = tuple(range(X.n))
+    else:
+        witness = next(isomorphism._isomorphisms(X, P, isomorphic=True)(), None)
     if witness is None:
         raise TheoremViolationError(
             f"no isomorphism onto the dihedral product {factors}: {X.table}"

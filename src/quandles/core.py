@@ -92,32 +92,42 @@ def _product_table(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(chain.from_iterable(map(get, flats) for get in getters))
 
 
-def _preserves(f, a, b) -> bool:
+def _preserves(f, a, b, getters=None) -> bool:
     """True iff f(a[x][y]) == b[f(x)][f(y)] for all x, y: f maps table a
-    homomorphically into table b.  f must send 0..len(a)-1 into 0..len(b)-1."""
+    homomorphically into table b.  f must send 0..len(a)-1 into 0..len(b)-1.
+    `getters`, if given, holds itemgetter(*row) for each row of a, built once
+    for several calls on one table a."""
     f = tuple(f)
     at_f = itemgetter(*f)  # row -> row[f(0)], row[f(1)], ...
-    return all(itemgetter(*row)(f) == at_f(b[fx]) for row, fx in zip(a, f))
+    if getters is None:  # one getter per row, built as it is read
+        return all(itemgetter(*row)(f) == at_f(b[fx]) for row, fx in zip(a, f))
+    return all(get(f) == at_f(b[fx]) for get, fx in zip(getters, f))
 
 
 class Quandle:
-    """An n-element quandle as an immutable Cayley table.
+    """An n-element quandle as an immutable Cayley table, valid by construction.
 
-    Instances are assumed to satisfy the axioms.  The public constructor
-    checks only the shape, in n^2 steps: the axiom check takes n^3, and every
-    construction in this package (trivial, dihedral, product, coset) is valid
-    by construction.  Raw tables from outside enter through `as_quandle` or
-    `load_quandle`, the validating boundary, which check the axioms first.
-    The builders whose tables come from a checked order or from two checked
-    quandles (trivial, dihedral, product), and `as_quandle` once it has
-    checked the shape itself, pass `_trusted=True` and skip the shape check
-    here; their rows must already be a tuple of n tuples of ints in 0..n-1.
+    The public constructor checks the shape, then the axioms as
+    `validate_quandle` does, and raises ValueError or InvalidQuandleError;
+    `as_quandle` and `load_quandle` are this same path.  The check reads
+    whole rows on the generating set of `_generators`, so a connected table
+    costs 2-3 times its shape check alone.  The package's builders, whose
+    tables are quandles by construction (trivial, dihedral, product,
+    enumerated, coset), pass `_trusted=True` and skip both checks; their
+    rows must already be a tuple of n tuples of ints in 0..n-1 that
+    satisfies the axioms.
     """
 
     __slots__ = ("n", "table")
 
     def __init__(self, table, *, _trusted: bool = False):
-        rows = table if _trusted else _check_shape(table)
+        if _trusted:
+            rows = table
+        else:
+            rows = _check_shape(table)
+            violations = _violations(rows)
+            if violations:
+                raise InvalidQuandleError(violations)
         object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "table", rows)
 
@@ -145,7 +155,9 @@ def validate_quandle(table) -> list[AxiomViolation]:
     raises ValueError before any axiom is examined.  (Q3) says that each
     row is an endomorphism of the table, so it is decided a whole row at a
     time by `_preserves`, and once every row is a permutation only on the
-    rows of the generating set S of `_generators`.
+    rows of the generating set S of `_generators`, each distinct row once
+    (whether a row preserves the table depends on the row alone; T_n has
+    one), with one getter per row of the table shared by those checks.
 
     Why S is enough: if s_a is an automorphism, then s_a(s_b(z)) =
     s_{s_a(b)}(s_a(z)) says s_{s_a(b)} = s_a s_b s_a^-1, an automorphism
@@ -202,20 +214,22 @@ def _violations(rows) -> list[AxiomViolation]:
     """The axiom loop of `validate_quandle`, on rows `_check_shape` returned."""
     n = len(rows)
     violations = []
-    full = set(range(n))
-    for x in range(n):
-        if rows[x][x] != x:
+    for x, row in enumerate(rows):
+        if row[x] != x:
             violations.append(AxiomViolation("Q1", (x,)))
-        if set(rows[x]) != full:
+        if len(set(row)) != n:  # entries are in 0..n-1
             violations.append(AxiomViolation("Q2", (x,)))
     # (Q3) is only meaningful on rows that are permutations; a non-bijective
     # row is already reported and would produce noise triples here.
     bad_rows = {v.witness[0] for v in violations if v.axiom == "Q2"}
-    if not bad_rows and all(_preserves(rows[a], rows, rows) for a in _generators(rows)):
-        return violations
+    getters = [itemgetter(*row) for row in rows]  # each holds its row, not a copy
+    if not bad_rows:
+        distinct = dict.fromkeys(rows[a] for a in _generators(rows))
+        if all(_preserves(g, rows, rows, getters) for g in distinct):
+            return violations
     for x in range(n):
         rx = rows[x]
-        if x in bad_rows or _preserves(rx, rows, rows):
+        if x in bad_rows or _preserves(rx, rows, rows, getters):
             continue
         for y in range(n):
             if y in bad_rows or rx[y] in bad_rows:
@@ -229,13 +243,9 @@ def _violations(rows) -> list[AxiomViolation]:
 
 
 def as_quandle(table) -> Quandle:
-    """Validate a raw table and wrap its checked rows; raises
-    InvalidQuandleError on failure."""
-    rows = _check_shape(table)
-    violations = _violations(rows)
-    if violations:
-        raise InvalidQuandleError(violations)
-    return Quandle(rows, _trusted=True)
+    """`Quandle(table)`: validate a raw table and wrap its checked rows;
+    raises ValueError on a bad shape and InvalidQuandleError on a broken axiom."""
+    return Quandle(table)
 
 
 def trivial_quandle(n: int) -> Quandle:
@@ -378,4 +388,4 @@ def load_quandle_table(path) -> list[list[int]]:
 
 def load_quandle(path) -> Quandle:
     """Parse and fully validate a quandle file."""
-    return as_quandle(load_quandle_table(path))
+    return Quandle(load_quandle_table(path))

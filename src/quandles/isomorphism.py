@@ -18,9 +18,14 @@ of X and stop where the sorted lists would first differ (see
 `_point_profiles`), so every answer and witness is the one the full lists give.
 
 The search also uses the symmetry of a quandle (see `_isomorphisms`): a
-search of X against itself compares only the heads of the profiles, f(0)
-tries one image per inner orbit of Y, and `automorphism_group` lists Aut as
-Inn . Aut_0 (McKay and Piperno's pruning by automorphisms known in advance)."""
+search whose caller knows that an isomorphism exists (X against itself, or
+`classify`'s flat connected X onto its dihedral product) refutes nothing and
+compares only the heads of the profiles, f(0) tries one image per inner
+orbit of Y, and `automorphism_group` lists Aut as Inn . Aut_0 (McKay and
+Piperno's pruning by automorphisms known in advance).  `find_isomorphism`
+must refute, so it keeps the full profiles.  Every `Quandle` satisfies the
+axioms unless it was built with `_trusted=True`; `_stands` and the check of
+each complete map still guard tables that break them."""
 
 from __future__ import annotations
 
@@ -198,7 +203,7 @@ def _generation_order(X: Quandle) -> tuple[list[int], list]:
     return order, pins
 
 
-def _isomorphisms(X: Quandle, Y: Quandle):
+def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
     """Set up once, the search for isomorphisms X -> Y: a function of the
     images to try for f(0) that returns a generator of the isomorphisms in
     search order.  By default f(0) tries the least candidate in each inner
@@ -209,10 +214,14 @@ def _isomorphisms(X: Quandle, Y: Quandle):
 
     Y's profiles are computed against X's, and the search yields nothing as
     soon as they differ (see `_point_profiles`), which is the answer the
-    complete lists give.  A self-search (Y is X) needs no refutation, and
-    takes only the heads: every automorphism keeps the full profiles, so a
-    candidate the orders would have refused is a dead branch that the row
-    checks close, and on quandles the maps yielded are the same.  Assigns
+    complete lists give.  A caller that knows an isomorphism exists passes
+    `isomorphic`: a search of X against itself (`is_homogeneous`,
+    `automorphism_group`) or onto the dihedral product of `classify`.  Then
+    nothing is refuted and only the heads are taken: every isomorphism keeps
+    the full profiles, so a candidate the orders would have refused is a
+    dead branch that the row checks close, and on quandles the maps yielded
+    are the same.  On a connected pair every point has one profile, so the
+    orders would prune nothing at all.  Assigns
     the points of X in generation order.  A start tries the points of Y with
     its profile; any other point t = s_a(b) is pinned to s_f(a)(f(b)).  Only
     the starts' rows prune, each cell once its three points are assigned.
@@ -222,8 +231,9 @@ def _isomorphisms(X: Quandle, Y: Quandle):
     complete on quandles.  On other tables it may miss an isomorphism, but
     every map it yields is one."""
     n = X.n
-    if Y is X:
-        px = py = _point_profiles(X, heads_only=True)
+    if isomorphic:
+        px = _point_profiles(X, heads_only=True)
+        py = px if Y is X else _point_profiles(Y, heads_only=True)
     else:
         px = _point_profiles(X)
         py = _point_profiles(Y, px)
@@ -328,7 +338,7 @@ def automorphism_group(X: Quandle) -> PermutationGroup:
     gens = [rows[a] for a in _generators(rows)]
     inner = [s for s in gens if len(set(s)) == n and _preserves(s, rows, rows)]
     autos, trees = [], {}
-    for f in _isomorphisms(X, X)():
+    for f in _isomorphisms(X, X, isomorphic=True)():
         if f[0] not in trees:
             trees[f[0]] = _transversal(inner, f[0], n)
         autos += map(itemgetter(*f) if n > 1 else tuple, trees[f[0]])  # g -> g . f

@@ -72,15 +72,23 @@ def conjugation_quandle(m: int, *cycle_types) -> Quandle:
     )
 
 
+def unchecked(table) -> Quandle:
+    """A table of valid shape as a `Quandle` without the axiom check, through
+    the private `_trusted=True` path: for tests whose subject is a table that
+    breaks the axioms, which `Quandle(table)` refuses."""
+    return Quandle(tuple(map(tuple, table)), _trusted=True)
+
+
 def relabeled(X: Quandle, rng) -> Quandle:
-    """X with its points renamed by a permutation shuffled from `rng`."""
+    """X with its points renamed by a permutation shuffled from `rng`; X may
+    break the axioms, and so then does its relabelling (see `unchecked`)."""
     relabel = list(range(X.n))
     rng.shuffle(relabel)
     table = [[0] * X.n for _ in range(X.n)]
     for x in range(X.n):
         for y in range(X.n):
             table[relabel[x]][relabel[y]] = relabel[X.table[x][y]]
-    return Quandle(table)
+    return unchecked(table)
 
 
 def every_table(n: int):

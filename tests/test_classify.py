@@ -11,10 +11,12 @@ from conftest import (
     oracle_corpus,
     relabeled,
     transposition_quandle,
+    unchecked,
 )
 from quandles import (
     ClassificationError,
     FiniteGroup,
+    InvalidQuandleError,
     Quandle,
     TheoremViolationError,
     abelian_invariants,
@@ -284,8 +286,9 @@ def test_classify_rejects_non_flat():
 
 
 def test_classify_never_decomposes_an_invalid_table():
-    # Quandle() checks only the shape; the isomorphism witness is what
-    # certifies the axioms, so every shape-valid non-quandle must raise.
+    # Built without the axiom check (Quandle() refuses them all): the
+    # isomorphism witness is what certifies the axioms, so every shape-valid
+    # non-quandle must raise.
     invalid = 0
     for n in (2, 3):
         for table in every_table(n):
@@ -295,15 +298,15 @@ def test_classify_never_decomposes_an_invalid_table():
             with pytest.raises(
                 (ValueError, ClassificationError, TheoremViolationError)
             ):
-                classify_flat_connected(Quandle(table))
+                classify_flat_connected(unchecked(table))
     assert invalid == 19693
     # s_1 . s_0 is not a permutation, so Dis cannot be listed.
     with pytest.raises(ValueError, match="not a permutation"):
-        classify_flat_connected(Quandle([[0, 2, 1], [0, 1, 1], [1, 0, 2]]))
+        classify_flat_connected(unchecked([[0, 2, 1], [0, 1, 1], [1, 0, 2]]))
     # Dis is abelian but has 2 elements, not 3: the cycle of (0)(1 2) through
     # 0 is shorter than its order, so the regularity guard must refuse it.
     with pytest.raises(TheoremViolationError, match="regularly"):
-        classify_flat_connected(Quandle([[1, 0, 2], [1, 0, 2], [2, 0, 1]]))
+        classify_flat_connected(unchecked([[1, 0, 2], [1, 0, 2], [2, 0, 1]]))
     # One or two swaps within a row of a flat connected quandle, off the
     # diagonal: rows stay permutations and s_x(x) = x still holds.
     rng = random.Random(0)
@@ -321,8 +324,38 @@ def test_classify_never_decomposes_an_invalid_table():
             continue
         perturbed += 1
         with pytest.raises((ValueError, ClassificationError, TheoremViolationError)):
-            classify_flat_connected(Quandle(table))
+            classify_flat_connected(unchecked(table))
     assert perturbed == 260
+
+
+def test_swaps_within_a_row_of_a_relabelled_r3_to_the_fourth_are_refused():
+    # While Quandle() checked only the shape, classify_flat_connected ran for
+    # minutes on some of these: its search had to refute a table that is not
+    # a quandle.  Now the table never becomes a Quandle.
+    rng = random.Random(22)
+    R = _dihedral_product((3, 3, 3, 3))
+    for _ in range(20):
+        table = [list(row) for row in relabeled(R, rng).table]
+        x = rng.randrange(R.n)
+        for _ in range(rng.randint(1, 2)):
+            y, z = rng.sample([v for v in range(R.n) if v != x], 2)
+            table[x][y], table[x][z] = table[x][z], table[x][y]
+        violations = validate_quandle(table)
+        assert violations
+        with pytest.raises(InvalidQuandleError) as exc:
+            Quandle(table)
+        assert exc.value.violations == violations
+
+
+def test_classify_witness_is_the_first_isomorphism_onto_the_product():
+    # The witness search is told that X and the product are isomorphic and
+    # takes the profile heads only; it must find find_isomorphism's map.
+    rng = random.Random(22)
+    for n in range(1, 106, 2):
+        for P in build_representatives(n):
+            for X in (P, relabeled(P, rng)):
+                factors, witness = classify_flat_connected(X)
+                assert witness == find_isomorphism(X, _dihedral_product(factors)), X.table
 
 
 def test_classify_round_trip_small():

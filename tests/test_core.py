@@ -26,6 +26,7 @@ from quandles import (
     trivial_quandle,
     validate_quandle,
 )
+from quandles import core
 from quandles.core import _check_shape, _generators, _preserves, _product_table
 
 
@@ -243,6 +244,43 @@ def test_as_quandle_raises_with_violations():
     with pytest.raises(InvalidQuandleError) as exc:
         as_quandle([[1, 0], [1, 0]])
     assert exc.value.violations
+
+
+def test_quandle_raises_on_exactly_the_tables_that_validation_flags():
+    flagged = 0
+    for n in (1, 2, 3):
+        for table in every_table(n):
+            violations = validate_quandle(table)
+            if violations:
+                flagged += 1
+                with pytest.raises(InvalidQuandleError) as exc:
+                    Quandle(table)
+                assert exc.value.violations == violations
+            else:
+                assert Quandle(table).table == tuple(table) == as_quandle(table).table
+    assert flagged == 1 + 16 + 19683 - (1 + 1 + 5)  # all but the labelled quandles
+
+
+def test_q3_is_checked_once_per_distinct_row_of_the_generating_set(monkeypatch):
+    # Every point of T_n is in S, and every row is the identity.
+    calls = []
+    preserves = core._preserves
+
+    def counted(f, a, b, getters=None):
+        calls.append(tuple(f))
+        return preserves(f, a, b, getters)
+
+    monkeypatch.setattr(core, "_preserves", counted)
+    for n in (1, 2, 7, 300):
+        calls.clear()
+        assert validate_quandle(trivial_quandle(n).table) == []
+        assert calls == [tuple(range(n))]
+    # R_3 x T_100: S holds 0 and each point (0, y) after, 101 points with the
+    # two distinct rows of (0, 0) and (1, 0).
+    X = direct_product(dihedral_quandle(3), trivial_quandle(100))
+    calls.clear()
+    Quandle(X.table)
+    assert calls == [X.table[0], X.table[100]]
 
 
 def test_trivial_quandle():

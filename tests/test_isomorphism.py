@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import reduce
+from itertools import islice
 
 import pytest
 
@@ -23,9 +24,9 @@ from conftest import (
     relabeled,
     small_corpus,
     transposition_quandle,
+    unchecked,
 )
 from quandles import (
-    Quandle,
     analyze,
     automorphism_group,
     build_representatives,
@@ -183,6 +184,26 @@ def test_one_image_per_inner_orbit_gives_the_witness_of_every_image():
     assert outside > 0
 
 
+def test_a_search_told_the_pair_is_isomorphic_yields_the_maps_of_the_default_search():
+    # Told that an isomorphism exists, the search compares profile heads only
+    # and refutes nothing; on quandles it yields the same maps in the same
+    # order, from the default images of f(0) and from every image.  On a
+    # connected pair every point has one profile, so the candidates agree too.
+    rng = random.Random(22)
+    pairs = 0
+    for X in oracle_corpus():
+        if X.n > 16:
+            continue
+        Y = relabeled(X, rng)
+        for A, B in ((X, Y), (Y, X), (X, X)):
+            for images in (None, range(X.n)):
+                told = list(islice(_isomorphisms(A, B, isomorphic=True)(images), 10))
+                assert told == list(islice(_isomorphisms(A, B)(images), 10)), A.table
+                assert told
+            pairs += 1
+    assert pairs == 3 * 495
+
+
 def test_automorphism_group_contains_rows():
     for X in small_corpus():
         aut = automorphism_group(X)
@@ -252,7 +273,7 @@ def _bounded(call, *args):
 
 
 def test_search_returns_and_yields_only_isomorphisms_on_tables_that_break_the_axioms():
-    # Quandle() checks only the shape, so the search can meet rows that are
+    # Built without the axiom check, the search can meet rows that are
     # not permutations and rows the starts do not determine.  Every call must
     # return, and every map it yields must be a bijective homomorphism: on
     # these tables the starts' rows alone admit non-automorphisms, and only
@@ -262,14 +283,15 @@ def test_search_returns_and_yields_only_isomorphisms_on_tables_that_break_the_ax
     try:
         for n in (1, 2, 3):
             for table in every_table(n):
-                X = Quandle(table)
+                X = unchecked(table)
                 Y = relabeled(X, rng)
                 _bounded(automorphism_group, X)
                 _bounded(is_homogeneous, X)
                 w = _bounded(find_isomorphism, X, Y)
                 assert w is None or (sorted(w) == list(range(n)) and is_homomorphism(w, X, Y))
-                for f in _bounded(lambda: list(_isomorphisms(X, X)())):
-                    assert sorted(f) == list(range(n)) and is_homomorphism(f, X, X), (table, f)
+                for told in (False, True):
+                    for f in _bounded(lambda: list(_isomorphisms(X, X, told)())):
+                        assert sorted(f) == list(range(n)) and is_homomorphism(f, X, X), (table, f)
     finally:
         signal.signal(signal.SIGALRM, previous)
 
@@ -412,7 +434,7 @@ def test_point_profiles_against_are_none_exactly_when_the_sorted_profiles_differ
     pairs = ((Y, X) for same in by_order.values() for X in same for Y in same if Y is not X)
     assert _refuted_against(pairs) == (313952, 285428)
     rng = random.Random(3)
-    tables = {n: [Quandle(table) for table in every_table(n)] for n in (1, 2, 3)}
+    tables = {n: [unchecked(table) for table in every_table(n)] for n in (1, 2, 3)}
     pairs = (
         (Y, X)
         for same in tables.values()
@@ -472,6 +494,6 @@ def _generation_order_over_every_pair(X):
 
 def test_generation_order_matches_the_scan_of_every_pair():
     rng = random.Random(16)
-    inputs = [Quandle(table) for n in (1, 2, 3) for table in every_table(n)] + oracle_corpus()
+    inputs = [unchecked(table) for n in (1, 2, 3) for table in every_table(n)] + oracle_corpus()
     for X in inputs + [relabeled(X, rng) for X in inputs]:
         assert _generation_order(X) == _generation_order_over_every_pair(X), X.table
