@@ -7,8 +7,11 @@ Dis, kept by a walk over the points whose orbit of 0 grows by the block rule
 (`_flat_dis_generators`), and homogeneity automorphisms from 0, each to the
 largest point not yet reached, since one found reaches the inner orbit of
 every point on its cycle of 0.  `analyze` reads |Dis| and |Inn| of a flat
-connected quandle off the same walk, which proves Dis regular, and closes
-Dis only for other inputs.
+connected quandle off the same walk, which proves Dis regular, and for
+other inputs closes Dis into an unsorted set (`perms._close`) whose size,
+kept generators and membership of s_0 give the rest.  On a connected
+quandle it reads involutivity off s_0 alone and homogeneity off
+connectivity, and it closes Inn for no input.
 Nothing is cached between calls.
 """
 
@@ -19,7 +22,7 @@ from operator import itemgetter
 from .core import Quandle
 from .isomorphism import _isomorphisms
 from .perms import (
-    PermutationGroup, _commute, _commuting_walk, closure, identity_perm, is_abelian, orbit
+    PermutationGroup, _close, _commute, _commuting_walk, closure, compose, identity_perm, orbit
 )
 
 
@@ -147,24 +150,36 @@ def is_homogeneous(X: Quandle) -> bool:
 
 
 def analyze(X: Quandle) -> dict:
-    """Full predicate report, in the shape used by the CLI; Inn is never
-    closed, and Dis only if X is not flat and connected: then the walk of
-    `is_flat` proves Dis regular, so |Dis| = n, and s_0, which fixes 0, is in
-    Dis only if n = 1.  Like `is_flat`, the report is exact on quandles."""
+    """Full predicate report, in the shape used by the CLI; each answer is
+    read off the cheapest structure that decides it, and Inn is never closed.
+
+    If X is flat and connected, the walk of `is_flat` proves Dis regular, so
+    |Dis| = n, and s_0, which fixes 0, is in Dis only if n = 1.  Otherwise
+    Dis is closed by `perms._close`, unsorted: its size is |Dis|, its kept
+    generators commute exactly when Dis does, and Inn = Dis u s_0 Dis, since
+    each s_x = (s_x . s_0) s_0^-1 and s_0^2 is in Dis.  A connected X is
+    homogeneous, since Inn is transitive, and involutive exactly when s_0
+    is: the rows of one inner orbit are conjugate in Inn, s_{g(0)} =
+    g s_0 g^-1, so they all have the order of s_0.  Like `is_flat`, the
+    report is exact on quandles."""
+    n, s0 = X.n, X.table[0]
     connected = is_connected(X)
     if connected and _flat_dis_generators(X):
-        flat, dis_order, inn_order = True, X.n, 2 * X.n if X.n > 1 else 1
+        flat, dis_order, inn_order = True, n, 2 * n if n > 1 else 1
     else:
-        dis = displacement_group(X)
-        flat, dis_order = is_abelian(dis), len(dis)
-        # Inn = Dis u s_0 Dis: each s_x = (s_x . s_0) s_0^-1, and s_0^2 is in Dis.
-        inn_order = len(dis) * (1 if X.table[0] in dis else 2)
+        kept, dis = _close(_displacement_generators(X))
+        flat, dis_order = _commute(kept), len(dis)
+        inn_order = dis_order * (1 if s0 in dis else 2)
+    if connected:
+        involutive, homogeneous = compose(s0, s0) == identity_perm(n), True
+    else:
+        involutive, homogeneous = is_involutive(X), is_homogeneous(X)
     return {
-        "n": X.n,
+        "n": n,
         "connected": connected,
         "flat": flat,
-        "involutive": is_involutive(X),
-        "homogeneous": is_homogeneous(X),
+        "involutive": involutive,
+        "homogeneous": homogeneous,
         "inn_order": inn_order,
         "dis_order": dis_order,
     }

@@ -152,23 +152,30 @@ def validate_quandle(table) -> list[AxiomViolation]:
     """Check the three axioms, returning every violation with a witness.
 
     Malformed input (non-square table, out-of-range or non-integer entries)
-    raises ValueError before any axiom is examined.  (Q3) says that each
-    row is an endomorphism of the table, so it is decided a whole row at a
-    time by `_preserves`, and once every row is a permutation only on the
-    rows of the generating set S of `_generators`, each distinct row once
-    (whether a row preserves the table depends on the row alone; T_n has
-    one), with one getter per row of the table shared by those checks.
+    raises ValueError before any axiom is examined.  (Q3) at (x, y, z)
+    reads the rows x, y and s_x(y), and is skipped where one of them is not
+    a permutation; call a point good if its row is one.  For a good pair
+    (x, y), one with x, y and s_x(y) good, write E(x, y) for s_x . s_y =
+    s_{s_x(y)} . s_x.  Each E is decided by comparing two whole rows, cells
+    are read only to list the witnesses of a pair that fails, in ascending
+    (x, y, z), and most pairs are never compared (`_q3_failures`).
 
-    Why S is enough: if s_a is an automorphism, then s_a(s_b(z)) =
-    s_{s_a(b)}(s_a(z)) says s_{s_a(b)} = s_a s_b s_a^-1, an automorphism
-    whenever s_b is one.  So once every row of S is an automorphism, the
-    points whose rows are automorphisms form a set that contains S and is
-    closed under every s_a with a in S.  That set holds the closure of S
-    under those rows, which is all of X.
+    Why a few rows are enough: let a, b and c = s_a(b) be good, with E(a, b),
+    so that s_c = s_a s_b s_a^-1.  For a good pair (c, y) let y' =
+    s_a^-1(y) and w = s_b(y').  If y' and w are good and E(a, y'), E(b, y')
+    and E(a, w) hold, then s_y = s_a s_y' s_a^-1 and, since s_a(w) = s_c(y),
 
-    If a row of S fails, or some row is not a permutation, every row is
-    checked; the cells of a failing row are read only to list its witnesses
-    (x, y, z) in ascending order.
+        s_c s_y = s_a s_b s_y' s_a^-1 = s_a s_w s_b s_a^-1 = s_{s_c(y)} s_c.
+
+    So c inherits every E from a and b but at the y = s_a(y') whose y' is
+    bad or fails for a or b, or whose w is bad or fails for a; only those
+    are compared (every y, if E(a, b) fails).  The rows of a set S grown
+    least-first from the good points, as `_generators` grows it, are
+    compared at every y, each distinct row once, since the y at which
+    E(x, y) fails depend on the row s_x alone (T_n has one distinct row);
+    every other good point is reached from S through good points.  On a
+    quandle nothing fails and no point is bad, so only the rows of S are
+    compared, by `_preserves`, and S is `_generators`'.
     """
     return _violations(_check_shape(table))
 
@@ -221,25 +228,63 @@ def _violations(rows) -> list[AxiomViolation]:
             violations.append(AxiomViolation("Q2", (x,)))
     # (Q3) is only meaningful on rows that are permutations; a non-bijective
     # row is already reported and would produce noise triples here.
-    bad_rows = {v.witness[0] for v in violations if v.axiom == "Q2"}
-    getters = [itemgetter(*row) for row in rows]  # each holds its row, not a copy
-    if not bad_rows:
-        distinct = dict.fromkeys(rows[a] for a in _generators(rows))
-        if all(_preserves(g, rows, rows, getters) for g in distinct):
-            return violations
-    for x in range(n):
-        rx = rows[x]
-        if x in bad_rows or _preserves(rx, rows, rows, getters):
-            continue
-        for y in range(n):
-            if y in bad_rows or rx[y] in bad_rows:
-                continue
-            ry = rows[y]
-            rxy = rows[rx[y]]
-            for z in range(n):
-                if rx[ry[z]] != rxy[rx[z]]:
-                    violations.append(AxiomViolation("Q3", (x, y, z)))
+    fails = _q3_failures(rows, {v.witness[0] for v in violations if v.axiom == "Q2"})
+    for x, rx in enumerate(rows):
+        for y in fails[x]:
+            ry, rxy = rows[y], rows[rx[y]]
+            violations += (
+                AxiomViolation("Q3", (x, y, z)) for z in range(n) if rx[ry[z]] != rxy[rx[z]]
+            )
     return violations
+
+
+def _q3_failures(rows, bad) -> dict:
+    """For each good point x, the ascending y of the good pairs (x, y) at
+    which E(x, y) fails, and () for each point of `bad`: S is grown and the
+    other good points derived as `validate_quandle` says, with one getter
+    per row of the table shared by the comparisons."""
+    n = len(rows)
+    getters = [itemgetter(*row) for row in rows]  # each holds its row, not a copy
+    fails, memo, S, reached = dict.fromkeys(bad, ()), {}, [], []
+
+    def failing(row, ys):
+        at_row = itemgetter(*row)  # rx -> rx[row[0]], rx[row[1]], ...
+        return [
+            y for y in ys
+            if y not in bad and row[y] not in bad and getters[y](row) != at_row(rows[row[y]])
+        ]
+
+    def reach(a, b):  # c = s_a(b) is good and not yet decided
+        c = rows[a][b]
+        if not (bad or fails[a] or fails[b]):  # nothing in doubt, as on every quandle
+            fails[c] = ()
+        elif b in fails[a]:
+            fails[c] = failing(rows[c], range(n))
+        else:  # E(c, y) follows from a and b but at the y = s_a(y') of y' in doubt
+            unsure = bad.union(fails[a])  # where neither y' nor w = s_b(y') may lie
+            doubt = unsure.union(fails[b], map(rows[b].index, unsure))
+            fails[c] = failing(rows[c], sorted(map(rows[a].__getitem__, doubt)))
+        reached.append(c)
+
+    for p, row in enumerate(rows):
+        if p in fails:
+            continue
+        if row not in memo:
+            memo[row] = [] if _preserves(row, rows, rows, getters) else failing(row, range(n))
+        fails[p] = memo[row]
+        S.append(p)
+        i = len(reached)
+        reached.append(p)
+        for b in reached[:i]:  # the new row at every point reached before it
+            if row[b] not in fails:
+                reach(p, b)
+        while i < len(reached):  # every row of S at each point new to them
+            b = reached[i]
+            i += 1
+            for a in S:
+                if rows[a][b] not in fails:
+                    reach(a, b)
+    return fails
 
 
 def as_quandle(table) -> Quandle:

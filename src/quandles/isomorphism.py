@@ -20,7 +20,8 @@ of X and stop where the sorted lists would first differ (see
 The search also uses the symmetry of a quandle (see `_isomorphisms`): a
 search whose caller knows that an isomorphism exists (X against itself, or
 `classify`'s flat connected X onto its dihedral product) refutes nothing and
-compares only the heads of the profiles, f(0) tries one image per inner
+compares only the heads of the profiles, and none at all on a connected
+pair, where every point has the same head; f(0) tries one image per inner
 orbit of Y, and `automorphism_group` lists Aut as Inn . Aut_0 (McKay and
 Piperno's pruning by automorphisms known in advance).  `find_isomorphism`
 must refute, so it keeps the full profiles.  Every `Quandle` satisfies the
@@ -85,21 +86,30 @@ def _point_profiles(
     lists and the search's matching of points are by identity.
 
     With `heads_only`, each profile is its head alone and no order is
-    computed; a search of X against itself takes these (see `_isomorphisms`).
+    computed; a told search on a disconnected pair takes these (see
+    `_isomorphisms`).  Then the fixed-point counts of every column come from
+    one C-level count per column, and the cycle type of each distinct row is
+    computed once (T_n has one row and n inner orbits).
     """
     rows = X.table
     ident = identity_perm(X.n)
     profiles = [None] * X.n
     if against is not None:
         ranked = sorted(against)
+    if heads_only:
+        fixers = list(map(tuple.count, zip(*rows), range(X.n)))  # column y counts y
+        types = {}  # cycle type by row
     for y, ry in enumerate(rows):
         if profiles[y] is None:
             orb = orbit(rows, y)
-            head = (len(orb), cycle_lengths(ry), sum(r[y] == y for r in rows))
             if heads_only:
+                if ry not in types:
+                    types[ry] = cycle_lengths(ry)
+                head = (len(orb), types[ry], fixers[y])
                 for z in orb:
                     profiles[z] = head
                 continue
+            head = (len(orb), cycle_lengths(ry), sum(r[y] == y for r in rows))
             if against is not None:
                 i = bisect_left(ranked, head)  # a head sorts before the profiles it starts
                 if (i == len(ranked) or ranked[i][:3] != head) and _stands(rows, profiles, y, orb):
@@ -209,8 +219,8 @@ def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
     search order.  By default f(0) tries the least candidate in each inner
     orbit of Y: Inn(Y) acts on the isomorphisms by g -> g . f, so some f
     sends 0 to c exactly when one sends it to each point of c's orbit.  A
-    connected Y, which the head of any profile of Y tells, has one orbit, so
-    f(0) tries only the least candidate, 0 on quandles.
+    connected Y, which the orbit size in any head of Y tells, has one orbit,
+    so f(0) tries only the least candidate, 0 on quandles.
 
     Y's profiles are computed against X's, and the search yields nothing as
     soon as they differ (see `_point_profiles`), which is the answer the
@@ -220,28 +230,47 @@ def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
     nothing is refuted and only the heads are taken: every isomorphism keeps
     the full profiles, so a candidate the orders would have refused is a
     dead branch that the row checks close, and on quandles the maps yielded
-    are the same.  On a connected pair every point has one profile, so the
-    orders would prune nothing at all.  Assigns
-    the points of X in generation order.  A start tries the points of Y with
-    its profile; any other point t = s_a(b) is pinned to s_f(a)(f(b)).  Only
-    the starts' rows prune, each cell once its three points are assigned.
-    A complete map is yielded only if `_preserves` certifies it, which never
-    fails on quandles (see the module docstring).  The stack holds one
-    iterator over the options of each point assigned so far.  The search is
-    complete on quandles.  On other tables it may miss an isomorphism, but
-    every map it yields is one."""
-    n = X.n
-    if isomorphic:
-        px = _point_profiles(X, heads_only=True)
-        py = px if Y is X else _point_profiles(Y, heads_only=True)
-    else:
+    are the same.  The candidates of the starts are then grouped by head in
+    one pass over Y.
+
+    A told pair with X and Y both connected (the orbit of 0 under the rows
+    is every point) takes no heads at all.  The rows of a connected quandle
+    act transitively and are automorphisms, so every point has one head and
+    every candidate list is all of Y, which is what the equal heads give;
+    so `classify`'s witness and `automorphism_group` of a connected X are
+    those of the heads.  On any table, an automorphism keeps the heads, so a
+    candidate with another head is a dead branch for a self-search too.
+
+    Assigns the points of X in generation order.  A start tries the points
+    of Y with its profile; any other point t = s_a(b) is pinned to
+    s_f(a)(f(b)).  Only the starts' rows prune, each cell once its three
+    points are assigned.  A complete map is yielded only if `_preserves`
+    certifies it, which never fails on quandles (see the module docstring).
+    The stack holds one iterator over the options of each point assigned so
+    far.  The search is complete on quandles.  On other tables it may miss
+    an isomorphism, but every map it yields is one."""
+    n, xt, yt = X.n, X.table, Y.table
+    connected = isomorphic and len(orbit(xt, 0)) == n and (Y is X or len(orbit(yt, 0)) == n)
+    if not isomorphic:
         px = _point_profiles(X)
         py = _point_profiles(Y, px)
-    if py is None:
-        return lambda images=None: iter(())
+        if py is None:
+            return lambda images=None: iter(())
+    elif not connected:
+        px = _point_profiles(X, heads_only=True)
+        py = px if Y is X else _point_profiles(Y, heads_only=True)
     order, pins = _generation_order(X)
-    xt, yt, level = X.table, Y.table, inverse(order)
-    candidates = {x: [y for y in range(n) if py[y] == px[x]] for x in order if pins[x] is None}
+    level = inverse(order)
+    starts = [x for x in order if pins[x] is None]
+    if connected:
+        candidates = dict.fromkeys(starts, range(n))
+    elif isomorphic:  # the points of Y by head, in one pass
+        by_head = {}
+        for y, head in enumerate(py):
+            by_head.setdefault(head, []).append(y)
+        candidates = {x: by_head.get(px[x], []) for x in starts}
+    else:
+        candidates = {x: [y for y in range(n) if py[y] == px[x]] for x in starts}
     checks = [[] for _ in range(n)]
     for a in candidates:
         for b, t in enumerate(xt[a]):
@@ -249,7 +278,10 @@ def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
 
     def isomorphisms(images=None):
         if images is None:  # the least candidate of each inner orbit of Y
-            first = candidates[0][:1] if py[0][0] == n else _least_per_orbit(yt, candidates[0])
+            if connected or py[0][0] == n:
+                first = candidates[0][:1]
+            else:
+                first = _least_per_orbit(yt, candidates[0])
         else:
             first = [y for y in images if y in candidates[0]]
         f, used, stack = [-1] * n, [False] * n, [iter(first)]

@@ -205,20 +205,31 @@ class PermutationGroup:
 
 
 def closure(generators, cap: int | None = None) -> PermutationGroup:
-    """Generate the group spanned by `generators` by breadth-first products.
-
-    A generator already in the group closed so far is skipped, as in Dimino's
-    method; the rest, in input order, are checked and kept as `generators`.
-    Each at least doubles the group, so at most log2 of its order are kept.
-    Products are taken on the right, h -> h after g, by one getter per kept g.
-    A set holding the identity and closed so is the group generated, so the
-    same generators are kept as with left products.
-    `cap` bounds the number of elements, identity included, and defaults to
-    degree!, the largest possible order; exceeding it raises ClosureLimitError.
-    """
+    """Generate the group spanned by `generators`: `_close`, with the
+    elements sorted into a `PermutationGroup` whose `generators` are the
+    kept ones.  `cap` bounds the number of elements, identity included, and
+    defaults to degree!, the largest possible order; exceeding it raises
+    ClosureLimitError."""
     gens = [tuple(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator is required")
+    kept, elements = _close(gens, cap)
+    return PermutationGroup(len(gens[0]), kept, sorted(elements))
+
+
+def _close(gens: list, cap: int | None = None) -> tuple[list, set]:
+    """The generators kept and the set of elements of the group spanned by
+    the non-empty list of tuples `gens`, by breadth-first products; nothing
+    is sorted, for callers that need only the order, membership or the
+    kept generators.
+
+    A generator already in the group closed so far is skipped, as in Dimino's
+    method; the rest, in input order, are checked and kept.  Each at least
+    doubles the group, so at most log2 of its order are kept.  Products are
+    taken on the right, h -> h after g, by one getter per kept g.  A set
+    holding the identity and closed so is the group generated, so the same
+    generators are kept as with left products.
+    """
     degree = len(gens[0])
     if cap is None:
         cap = math.factorial(degree)
@@ -252,7 +263,7 @@ def closure(generators, cap: int | None = None) -> PermutationGroup:
                         new.append(p)
             frontier = new
             step = times
-    return PermutationGroup(degree, kept, sorted(elements))
+    return kept, elements
 
 
 def orbit(generators, point: int) -> set[int]:

@@ -303,11 +303,17 @@ def test_analyze_report():
     }
     report = analyze(affine5())
     assert report["connected"] and not report["flat"] and not report["involutive"]
-    # inn_order is read off Dis; the closed inner group is the oracle.
+    # Each answer is read off a cheaper structure; the predicates and the
+    # closed groups are the oracles.
     others = [transposition_quandle(m) for m in range(2, 7)]
     others += [affine_quandle(p, t) for p in (5, 7, 11, 13) for t in range(2, p)]
-    for X in small_corpus() + others:
-        assert analyze(X)["inn_order"] == len(inner_group(X))
+    for X in small_corpus() + oracle_corpus() + others:
+        report = analyze(X)
+        assert report["involutive"] == is_involutive(X)
+        assert report["flat"] == is_flat(X)
+        assert report["homogeneous"] == is_homogeneous(X)
+        assert report["dis_order"] == len(displacement_group(X))
+        assert report["inn_order"] == len(inner_group(X))
 
 
 def test_analyze_of_a_flat_connected_quandle_closes_no_group(monkeypatch):
@@ -316,8 +322,9 @@ def test_analyze_of_a_flat_connected_quandle_closes_no_group(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a group was closed")
 
-    monkeypatch.setattr(analysis, "closure", refuse)
-    monkeypatch.setattr(perms, "closure", refuse)
+    for module in (analysis, perms):
+        monkeypatch.setattr(module, "closure", refuse)
+        monkeypatch.setattr(module, "_close", refuse)
     R33 = relabeled(direct_product(dihedral_quandle(3), dihedral_quandle(3)), random.Random(33))
     for X in (dihedral_quandle(15), R33):
         assert analyze(X) == {

@@ -78,10 +78,10 @@ def test_validate_rejects_malformed():
         validate_quandle([[0.0, 1.0], [0.0, 1.0]])
 
 
-def brute_force_violations(table) -> list[tuple]:
+def brute_force_violations(table, xs=None) -> list[tuple]:
     """The axioms cell by cell: (Q1) and (Q2) per row, then (Q3) per triple
     (x, y, z), skipping triples whose x, y or s_x(y) is a row that is not a
-    permutation."""
+    permutation.  `xs`, if given, are the only x whose (Q3) cells are read."""
     n = len(table)
     violations = []
     for x in range(n):
@@ -90,7 +90,7 @@ def brute_force_violations(table) -> list[tuple]:
         if sorted(table[x]) != list(range(n)):
             violations.append(("Q2", (x,)))
     bad_rows = {v[1][0] for v in violations if v[0] == "Q2"}
-    for x, y, z in product(range(n), repeat=3):
+    for x, y, z in product(range(n) if xs is None else xs, range(n), range(n)):
         if bad_rows & {x, y, table[x][y]}:
             continue
         if table[x][table[y][z]] != table[table[x][y]][table[x][z]]:
@@ -160,6 +160,14 @@ def test_validate_matches_cell_loops_on_one_cell_changes():
     assert kinds == {"Q1", "Q2", "Q3"}
 
 
+def with_transpositions(n, rows):
+    """T_n with row x the transposition (a b) for each x: (a, b) of `rows`."""
+    t = [list(range(n)) for _ in range(n)]
+    for x, (a, b) in rows.items():
+        t[x][a], t[x][b] = b, a
+    return t
+
+
 def test_validate_matches_cell_loops_on_the_oracle_corpus():
     # Larger inputs are checked row by row against the definition of (Q3):
     # the cell loop over every triple would take n^3 steps in Python.
@@ -170,6 +178,16 @@ def test_validate_matches_cell_loops_on_the_oracle_corpus():
         else:
             assert all(_preserves(row, t, t) for row in t)
             assert validate_quandle(t) == []
+    # T_n with two rows changed to transpositions: many points share one row,
+    # and a changed row breaks (Q3) only at the y it moves.  An identity row
+    # keeps (Q3) at every cell, s_x(s_y(z)) = s_y(z) = s_{s_x(y)}(s_x(z)), so
+    # on T_300 the cell loop reads the cells of the two other rows.
+    for rows in ({4: (1, 2), 1: (3, 5)}, {2: (0, 1), 0: (1, 2)}):
+        t = with_transpositions(6, rows)
+        assert validate_quandle(t) == brute_force_violations(t) != []
+    t = with_transpositions(300, {5: (1, 2), 1: (3, 4)})
+    expected = [("Q3", (5, y, z)) for y in (1, 2) for z in (3, 4)]
+    assert validate_quandle(t) == brute_force_violations(t, xs=(1, 5)) == expected
 
 
 def closure_under_rows(t, points) -> set:
