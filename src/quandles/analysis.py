@@ -50,50 +50,39 @@ def _flat_dis_generators(X: Quandle) -> list | None:
 
     The walk: s_0 . s_0 must be the identity.  Then `_commuting_walk` visits
     x = 1, 2, ... while the orbit H.0 of the group H kept so far misses a
-    point, and composes g = s_x . s_0 only for an x not in H.0.  It checks
-    that g is a permutation, skips g if g(0) is in H.0, and else keeps g if
-    it commutes with every generator kept before it; H.0 grows by the block
-    rule of `_grow`.  No element of Dis is listed.
+    point, and composes g = s_x . s_0 only for an x not in H.0.  It skips g
+    if g(0) is in H.0, and else keeps g if it commutes with every generator
+    kept before it; H.0 grows by the block rule of `_grow`.  No element of
+    Dis is listed.
 
-    Why H is all of Dis once H.0 = X (on a quandle): X is connected, so every
-    row is conjugate to s_0 in Inn and, like s_0, is an involution.  Let S be
-    0 and the points whose g was kept: each point of H.0 lies in the
-    subquandle that S generates, so S generates X and the s_a (a in S)
-    generate Inn.  N = <s_a . s_0 : a in S> is H, and it is normal in Inn,
+    Why H is all of Dis once H.0 = X: X is connected, so every row is
+    conjugate to s_0 in Inn and, like s_0, is an involution.  Let S be 0 and
+    the points whose g was kept: each point of H.0 lies in the subquandle
+    that S generates, so S generates X and the s_a (a in S) generate Inn.
+    N = <s_a . s_0 : a in S> is H, and it is normal in Inn,
     since s_0 (s_a . s_0) s_0 = (s_a . s_0)^-1 and s_a = (s_a . s_0) s_0.
     Every s_a, hence every s_x, is s_0 modulo N, so every s_x . s_y lies in
     N.  H is abelian and transitive, so it is regular.
 
-    Why no walk on a flat X fails (on a quandle): Dis is transitive, since
-    Inn = Dis u Dis.s_0 and s_0 fixes 0, so an abelian Dis is regular.  Then
+    Why no walk on a flat X fails: Dis is transitive, since Inn = Dis u
+    Dis.s_0 and s_0 fixes 0, so an abelian Dis is regular.  Then
     s_0 . s_0, in Dis and fixing 0, is the identity; every kept g commutes;
     and a g skipped at an x outside H.0 is the element of H that agrees with
     it at 0.  For x in H.0, s_x = h s_0 h^-1 for the h in H with h(0) = x, and
     s_0 normalizes H as above, so s_x . s_0 is in H too.  So at the end every
-    s_x . s_0 is in H, H = Dis and H.0 = X.  A table that is not a quandle can
-    fail the walk with a commutative Dis, so all the generators are then
-    compared to tell: such a Dis is not regular and gives an empty list.  The
-    list for a regular Dis is never empty.
+    s_x . s_0 is in H, H = Dis and H.0 = X.  Hence a walk that fails, or
+    ends with H.0 short of X, shows that Dis is not commutative.
     """
     n, rows = X.n, X.table
     if n < 2:  # itemgetter of one index returns a bare item, not a tuple
         return list(rows)
     times_s0 = itemgetter(*rows[0])
-
-    def candidate(x):
-        g = times_s0(rows[x])  # s_x . s_0, of n entries in 0..n-1 by the shape check
-        if len(set(g)) < n:
-            raise ValueError(f"not a permutation of degree {n}: {g}")
-        return g
-
-    if times_s0(rows[0]) == identity_perm(n):
-        walk = _commuting_walk(n, 0, candidate)
-        if walk is None:
-            return None
-        kept, reached = walk
-        if len(reached) == n:
-            return kept
-    return [] if _commute(set(_displacement_generators(X))) else None
+    if times_s0(rows[0]) != identity_perm(n):
+        return None
+    walk = _commuting_walk(n, 0, lambda x: times_s0(rows[x]))
+    if walk is None or len(walk[1]) < n:
+        return None
+    return walk[0]
 
 
 def is_connected(X: Quandle) -> bool:
@@ -104,8 +93,7 @@ def is_connected(X: Quandle) -> bool:
 def is_flat(X: Quandle) -> bool:
     """True iff the displacement group is commutative: by the walk of
     `_flat_dis_generators` if X is connected, else by its n generators
-    s_x . s_0 commuting pairwise.  The walk's answer is proved for quandles;
-    on a table that breaks the axioms it may differ from the closed Dis."""
+    s_x . s_0 commuting pairwise."""
     if is_connected(X):
         return _flat_dis_generators(X) is not None
     return _commute(set(_displacement_generators(X)))
@@ -160,11 +148,10 @@ def analyze(X: Quandle) -> dict:
     each s_x = (s_x . s_0) s_0^-1 and s_0^2 is in Dis.  A connected X is
     homogeneous, since Inn is transitive, and involutive exactly when s_0
     is: the rows of one inner orbit are conjugate in Inn, s_{g(0)} =
-    g s_0 g^-1, so they all have the order of s_0.  Like `is_flat`, the
-    report is exact on quandles."""
+    g s_0 g^-1, so they all have the order of s_0."""
     n, s0 = X.n, X.table[0]
     connected = is_connected(X)
-    if connected and _flat_dis_generators(X):
+    if connected and _flat_dis_generators(X) is not None:
         flat, dis_order, inn_order = True, n, 2 * n if n > 1 else 1
     else:
         kept, dis = _close(_displacement_generators(X))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import Quandle, _cyclic_table
+from .core import Quandle, _cyclic_table, _preserves
 
 if TYPE_CHECKING:
     from .triplets import FiniteGroup
@@ -36,15 +36,11 @@ class ClassificationError(Exception):
 
 
 class TheoremViolationError(RuntimeError):
-    """Dis is not regular, or no isomorphism witness onto the dihedral
-    product read off it.
+    """No isomorphism witness onto the dihedral product read off Dis.
 
-    For a flat connected quandle neither can happen with a correct
-    implementation, and `Quandle(table)` admits only quandles.  A table that
-    breaks the axioms reaches `classify_flat_connected` only through the
-    private `_trusted=True` path, and it can fail here, since no isomorphism
-    witness exists for it.  The message carries the offending table so the
-    failure can be reproduced.
+    For a flat connected quandle this cannot happen with a correct
+    implementation.  The message carries the offending table so the failure
+    can be reproduced.
     """
 
 
@@ -161,26 +157,22 @@ def abelian_invariants(G: FiniteGroup) -> tuple[int, ...]:
 def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     """Decompose a flat connected quandle into odd-prime-power dihedral factors.
 
-    X is a quandle: `Quandle(table)`, `as_quandle` and `load_quandle` check
-    the axioms.  Connectivity and flatness are verified, not assumed: a
-    disconnected or non-flat quandle is an error naming the failed
-    certificate.  Flatness comes from `_flat_dis_generators`, which keeps a
-    few commuting generators of Dis by a walk over the points: a transitive
-    abelian group is regular, and a Dis that is abelian but not regular,
-    which only a table that breaks the axioms can have, comes back empty.
-    The factors are the primary decomposition of that regular Dis, read by
+    Connectivity and flatness are verified, not assumed: a disconnected or
+    non-flat quandle is an error naming the failed certificate.  Flatness
+    comes from `_flat_dis_generators`, which keeps a few commuting
+    generators of Dis by a walk over the points: a transitive abelian group
+    is regular.  The factors are the primary decomposition of that regular Dis, read by
     `_primary_factors` from its torsion counts: h -> h^q is an endomorphism
     of the abelian Dis with image <g^q : g kept>, so #{h : h^q = 1} = n /
     |<g^q : g kept>.0|, and that orbit grows by the block rule (`_torsion`).
     The isomorphism witness onto the dihedral product P of the factors is
-    the one certificate: it satisfies the homomorphism equation on all n^2
-    pairs, so it also certifies that X satisfies the axioms and that the
-    factors are right.  It is the identity if X's table is P's; else the
-    source paper's theorem says that X is isomorphic to P, so the search is
-    told so and takes the profile heads only (see `isomorphism._isomorphisms`):
-    on this connected pair its candidates, and so its witness, are those of
-    `find_isomorphism`.  A table that breaks the axioms raises ValueError,
-    ClassificationError or TheoremViolationError and is never decomposed.
+    the one certificate: it is checked on all n^2 pairs, so it also
+    certifies that X satisfies the axioms and that the factors are right.
+    It is the identity if X's table is P's; else the source paper's theorem
+    says that X is isomorphic to P, so the search is told so and takes the
+    profile heads only (see `isomorphism._isomorphisms`): on this connected
+    pair its candidates, and so its witness, are those of
+    `find_isomorphism`.
     """
     from . import analysis, isomorphism, perms
 
@@ -189,15 +181,12 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     gens = analysis._flat_dis_generators(X)
     if gens is None:
         raise ClassificationError("not-flat", f"order-{X.n} quandle has a non-commutative displacement group")
-    if not gens:
-        raise TheoremViolationError(f"abelian displacement group does not act regularly: {X.table}")
     factors = _primary_factors(X.n, perms._torsion(gens, 0, X.n))
     P = _dihedral_product(factors)
     if X.table == P.table:
-        witness = tuple(range(X.n))
-    else:
-        witness = next(isomorphism._isomorphisms(X, P, isomorphic=True)(), None)
-    if witness is None:
+        return FlatDecomposition(factors, tuple(range(X.n)))
+    witness = next(isomorphism._isomorphisms(X, P, isomorphic=True)(), None)
+    if witness is None or not _preserves(witness, X.table, P.table):
         raise TheoremViolationError(
             f"no isomorphism onto the dihedral product {factors}: {X.table}"
         )

@@ -115,7 +115,9 @@ class Quandle:
     tables are quandles by construction (trivial, dihedral, product,
     enumerated, coset), pass `_trusted=True` and skip both checks; their
     rows must already be a tuple of n tuples of ints in 0..n-1 that
-    satisfies the axioms.
+    satisfies the axioms.  Every function of the package assumes that its
+    `Quandle` arguments satisfy the axioms, and only `_trusted=True` skips
+    the check.
     """
 
     __slots__ = ("n", "table")

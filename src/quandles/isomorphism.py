@@ -5,12 +5,10 @@ takes what it needs.  It backtracks over partial bijections in generation order
 on an explicit stack, not by recursion: every point but a few starts is s_a(b)
 of two earlier ones, so only the starts branch, over candidates in ascending
 order, and results are deterministic.  A per-point profile and the cells of
-the starts' rows prune; neither decides a positive.  `_preserves` certifies
-each complete map.  On quandles it never fails: if f preserves the rows a and
-b, it preserves the row s_{s_a(b)} = s_a s_b s_a^-1, so a bijection that
-preserves the rows of the starts preserves every row.  The search is complete
-on quandles.  On other tables it may miss an isomorphism (the profile takes
-the rows for automorphisms), but every map it yields is one.
+the starts' rows prune, and they certify each complete map: if f preserves
+the rows a and b, it preserves the row s_{s_a(b)} = s_a s_b s_a^-1, so a
+bijection that preserves the rows of the starts preserves every row.  The
+search is complete.
 
 Tables that are not isomorphic are told apart before the search is set up,
 as early as the profiles allow: the profiles of Y are computed against those
@@ -24,9 +22,7 @@ compares only the heads of the profiles, and none at all on a connected
 pair, where every point has the same head; f(0) tries one image per inner
 orbit of Y, and `automorphism_group` lists Aut as Inn . Aut_0 (McKay and
 Piperno's pruning by automorphisms known in advance).  `find_isomorphism`
-must refute, so it keeps the full profiles.  Every `Quandle` satisfies the
-axioms unless it was built with `_trusted=True`; `_stands` and the check of
-each complete map still guard tables that break them."""
+must refute, so it keeps the full profiles."""
 
 from __future__ import annotations
 
@@ -79,11 +75,9 @@ def _point_profiles(
     an order computed after its first (until then every order counted is 1),
     if the order computed last already occurs more often than in every
     profile of X' with that head.  Either way the orbit's profile is one that
-    X' lacks, so every answer is the one the full lists give.  On a table that
-    breaks the axioms orbits may overlap, so a stop is taken only if the
-    orbit's profile is not written over (`_stands`).  A finished profile that
-    X' has takes the equal tuple of X', so the final comparison of the sorted
-    lists and the search's matching of points are by identity.
+    X' lacks, so every answer is the one the full lists give.  A finished
+    profile that X' has takes the equal tuple of X', so the final comparison
+    of the sorted lists and the search's matching of points are by identity.
 
     With `heads_only`, each profile is its head alone and no order is
     computed; a told search on a disconnected pair takes these (see
@@ -112,10 +106,10 @@ def _point_profiles(
             head = (len(orb), cycle_lengths(ry), sum(r[y] == y for r in rows))
             if against is not None:
                 i = bisect_left(ranked, head)  # a head sorts before the profiles it starts
-                if (i == len(ranked) or ranked[i][:3] != head) and _stands(rows, profiles, y, orb):
+                if i == len(ranked) or ranked[i][:3] != head:
                     return None
             after_y = itemgetter(*ry) if X.n > 1 else tuple  # (0,) is the only row of order 1
-            involutive = after_y(ry) == ident  # an involution is a bijection, on any table
+            involutive = after_y(ry) == ident
             orders, seen, memo, last = [], [False] * X.n, {}, None
             for x, rx in enumerate(rows):
                 if seen[x]:
@@ -128,7 +122,6 @@ def _point_profiles(
                         against is not None
                         and last is not None
                         and orders.count(last) > _most(last, ranked, i, head)
-                        and _stands(rows, profiles, y, orb)
                     ):
                         return None
                     else:
@@ -158,21 +151,6 @@ def _point_profiles(
     if against is not None and sorted(profiles) != ranked:
         return None
     return profiles
-
-
-def _stands(rows, profiles, y, orb) -> bool:
-    """True iff the profile of the orbit `orb` of y, written next, keeps one
-    of its points.  It does on quandles, whose inner orbits do not overlap;
-    on other tables the orbit of a later point that no orbit before it
-    reaches may hold points of `orb`, and its profile is written over them."""
-    left = set(orb)
-    reached = left.union(z for z, p in enumerate(profiles) if p is not None)
-    for z in range(y + 1, len(rows)):
-        if z not in reached:
-            later = orbit(rows, z)
-            reached |= later
-            left -= later
-    return bool(left)
 
 
 def _most(order, ranked, i, head) -> int:
@@ -220,7 +198,7 @@ def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
     orbit of Y: Inn(Y) acts on the isomorphisms by g -> g . f, so some f
     sends 0 to c exactly when one sends it to each point of c's orbit.  A
     connected Y, which the orbit size in any head of Y tells, has one orbit,
-    so f(0) tries only the least candidate, 0 on quandles.
+    so f(0) tries only the least candidate, 0.
 
     Y's profiles are computed against X's, and the search yields nothing as
     soon as they differ (see `_point_profiles`), which is the answer the
@@ -229,28 +207,26 @@ def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
     `automorphism_group`) or onto the dihedral product of `classify`.  Then
     nothing is refuted and only the heads are taken: every isomorphism keeps
     the full profiles, so a candidate the orders would have refused is a
-    dead branch that the row checks close, and on quandles the maps yielded
-    are the same.  The candidates of the starts are then grouped by head in
-    one pass over Y.
+    dead branch that the row checks close, and the maps yielded are the
+    same.  The candidates of the starts are then grouped by head in one pass
+    over Y.
 
-    A told pair with X and Y both connected (the orbit of 0 under the rows
-    is every point) takes no heads at all.  The rows of a connected quandle
-    act transitively and are automorphisms, so every point has one head and
+    A told pair with X connected (the orbit of 0 under the rows is every
+    point) takes no heads at all: isomorphic quandles are both connected or
+    neither, so Y is connected too.  The rows of a connected quandle act
+    transitively and are automorphisms, so every point has one head and
     every candidate list is all of Y, which is what the equal heads give;
     so `classify`'s witness and `automorphism_group` of a connected X are
-    those of the heads.  On any table, an automorphism keeps the heads, so a
-    candidate with another head is a dead branch for a self-search too.
+    those of the heads.
 
     Assigns the points of X in generation order.  A start tries the points
     of Y with its profile; any other point t = s_a(b) is pinned to
     s_f(a)(f(b)).  Only the starts' rows prune, each cell once its three
-    points are assigned.  A complete map is yielded only if `_preserves`
-    certifies it, which never fails on quandles (see the module docstring).
-    The stack holds one iterator over the options of each point assigned so
-    far.  The search is complete on quandles.  On other tables it may miss
-    an isomorphism, but every map it yields is one."""
+    points are assigned, so a complete map preserves them and is an
+    isomorphism (see the module docstring).  The stack holds one iterator
+    over the options of each point assigned so far."""
     n, xt, yt = X.n, X.table, Y.table
-    connected = isomorphic and len(orbit(xt, 0)) == n and (Y is X or len(orbit(yt, 0)) == n)
+    connected = isomorphic and len(orbit(xt, 0)) == n
     if not isomorphic:
         px = _point_profiles(X)
         py = _point_profiles(Y, px)
@@ -302,8 +278,7 @@ def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
                     used[f[order[k - 1]]] = False
                 continue
             if k + 1 == n:
-                if _preserves(f, xt, yt):
-                    yield tuple(f)
+                yield tuple(f)
                 continue  # c is not marked used, so k tries its next option
             used[c] = True
             x = order[k + 1]
@@ -328,10 +303,9 @@ def find_isomorphism(X: Quandle, Y: Quandle):
 
     Deterministic: candidates are tried in ascending index order, so X against
     itself always yields the identity.  f(0) tries only the least candidate
-    of each inner orbit of Y, which gives the same witness on quandles: the
-    first candidate that extends is the least of its orbit, since all of its
-    orbit extend.  The search is complete on quandles.  On other tables it
-    may miss an isomorphism, but every map it yields is one."""
+    of each inner orbit of Y, which gives the same witness: the first
+    candidate that extends is the least of its orbit, since all of its orbit
+    extend."""
     if X.n != Y.n:
         return None
     if X.table == Y.table:
@@ -361,14 +335,11 @@ def automorphism_group(X: Quandle) -> PermutationGroup:
     transversal of c's orbit, one inner element g_z with g_z(c) = z per
     point z: an automorphism h with h(0) in the orbit is g_z . f for z = h(0)
     and no other pair.  The transversals use the rows of the least-first
-    generating set of `core._generators` that are bijections preserving the
-    table.  On quandles that is all of them, and they generate Inn, since
-    s_{s_a(b)} = s_a s_b s_a^-1 (see `core.validate_quandle`), so the list is
-    all of Aut; on any table every map listed is an automorphism.
+    generating set of `core._generators`, which generate Inn, since
+    s_{s_a(b)} = s_a s_b s_a^-1 (see `core.validate_quandle`).
     """
     rows, n = X.table, X.n
-    gens = [rows[a] for a in _generators(rows)]
-    inner = [s for s in gens if len(set(s)) == n and _preserves(s, rows, rows)]
+    inner = [rows[a] for a in _generators(rows)]
     autos, trees = [], {}
     for f in _isomorphisms(X, X, isomorphic=True)():
         if f[0] not in trees:

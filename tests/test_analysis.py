@@ -30,7 +30,7 @@ from quandles import (
     is_involutive,
     trivial_quandle,
 )
-from quandles import analysis, isomorphism, perms
+from quandles import analysis, perms
 from quandles.analysis import _flat_dis_generators
 from quandles.perms import compose, identity_perm, inverse, is_abelian, is_transitive, orbit
 
@@ -159,19 +159,21 @@ def _two_points_beside_r3():
 
 def _count_searches(monkeypatch):
     """The images asked for f(0), one entry per homogeneity search started,
-    and the complete maps that `_preserves` checked."""
+    and the complete maps that the searches yielded."""
     searches, leaves = [], []
-    isomorphisms, preserves = analysis._isomorphisms, isomorphism._preserves
+    isomorphisms = analysis._isomorphisms
 
     def counted(X, Y, isomorphic=False):
         assert isomorphic  # a self-search knows the identity is an isomorphism
         search = isomorphisms(X, Y, isomorphic)
-        return lambda images=None: searches.append(images) or search(images)
+
+        def started(images=None):
+            searches.append(images)
+            return (leaves.append(f) or f for f in search(images))
+
+        return started
 
     monkeypatch.setattr(analysis, "_isomorphisms", counted)
-    monkeypatch.setattr(
-        isomorphism, "_preserves", lambda f, a, b: leaves.append(tuple(f)) or preserves(f, a, b)
-    )
     return searches, leaves
 
 

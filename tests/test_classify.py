@@ -300,13 +300,21 @@ def test_classify_never_decomposes_an_invalid_table():
             ):
                 classify_flat_connected(unchecked(table))
     assert invalid == 19693
-    # s_1 . s_0 is not a permutation, so Dis cannot be listed.
-    with pytest.raises(ValueError, match="not a permutation"):
-        classify_flat_connected(unchecked([[0, 2, 1], [0, 1, 1], [1, 0, 2]]))
-    # Dis is abelian but has 2 elements, not 3: the cycle of (0)(1 2) through
-    # 0 is shorter than its order, so the regularity guard must refuse it.
-    with pytest.raises(TheoremViolationError, match="regularly"):
-        classify_flat_connected(unchecked([[1, 0, 2], [1, 0, 2], [2, 0, 1]]))
+    # s_1 . s_0 is not a permutation, but it fixes 0, so the walk skips it
+    # and keeps the 3-cycle s_2 . s_0: the factors read (3,), and no map
+    # onto R_3 passes the search.
+    table = [[0, 2, 1], [0, 1, 1], [1, 0, 2]]
+    with pytest.raises(InvalidQuandleError):
+        Quandle(table)
+    with pytest.raises(TheoremViolationError, match="no isomorphism onto the dihedral product"):
+        classify_flat_connected(unchecked(table))
+    # Dis is abelian but has 2 elements, not 3: the walk's orbit of 0 stops
+    # short of every point, which on a quandle means Dis is not commutative.
+    table = [[1, 0, 2], [1, 0, 2], [2, 0, 1]]
+    with pytest.raises(InvalidQuandleError):
+        Quandle(table)
+    with pytest.raises(ClassificationError, match="not-flat"):
+        classify_flat_connected(unchecked(table))
     # One or two swaps within a row of a flat connected quandle, off the
     # diagonal: rows stay permutations and s_x(x) = x still holds.
     rng = random.Random(0)

@@ -27,11 +27,14 @@ from conftest import (
     unchecked,
 )
 from quandles import (
+    InvalidQuandleError,
+    Quandle,
     analyze,
     automorphism_group,
     build_representatives,
     dihedral_quandle,
     direct_product,
+    enumerate_quandles,
     find_isomorphism,
     is_flat,
     is_homogeneous,
@@ -186,9 +189,11 @@ def test_one_image_per_inner_orbit_gives_the_witness_of_every_image():
 
 def test_a_search_told_the_pair_is_isomorphic_yields_the_maps_of_the_default_search():
     # Told that an isomorphism exists, the search compares profile heads only
-    # and refutes nothing; on quandles it yields the same maps in the same
-    # order, from the default images of f(0) and from every image.  On a
-    # connected pair every point has one profile, so the candidates agree too.
+    # and refutes nothing; it yields the same maps in the same order, from
+    # the default images of f(0) and from every image.  On a connected pair
+    # every point has one profile, so the candidates agree too.  No complete
+    # map is checked again, so each is checked here: the starts' rows alone
+    # must make it a homomorphism.
     rng = random.Random(22)
     pairs = 0
     for X in oracle_corpus():
@@ -198,8 +203,11 @@ def test_a_search_told_the_pair_is_isomorphic_yields_the_maps_of_the_default_sea
         for A, B in ((X, Y), (Y, X), (X, X)):
             for images in (None, range(X.n)):
                 told = list(islice(_isomorphisms(A, B, isomorphic=True)(images), 10))
-                assert told == list(islice(_isomorphisms(A, B)(images), 10)), A.table
+                default = list(islice(_isomorphisms(A, B)(images), 10))
+                assert told == default, A.table
                 assert told
+                for f in told + default:
+                    assert is_homomorphism(f, A, B), (A.table, f)
             pairs += 1
     assert pairs == 3 * 495
 
@@ -273,12 +281,13 @@ def _bounded(call, *args):
 
 
 def test_search_returns_and_yields_only_isomorphisms_on_tables_that_break_the_axioms():
-    # Built without the axiom check, the search can meet rows that are
-    # not permutations and rows the starts do not determine.  Every call must
-    # return, and every map it yields must be a bijective homomorphism: on
-    # these tables the starts' rows alone admit non-automorphisms, and only
-    # the check of each complete map refuses them.
+    # Built without the axiom check, the search can meet rows that are not
+    # permutations and rows the starts do not determine: every call must
+    # still return.  `Quandle(table)` refuses every such table; on the 7
+    # labelled quandles every map the search yields is a bijective
+    # homomorphism.
     rng = random.Random(0)
+    quandles = 0
     previous = signal.signal(signal.SIGALRM, _timed_out)
     try:
         for n in (1, 2, 3):
@@ -288,12 +297,20 @@ def test_search_returns_and_yields_only_isomorphisms_on_tables_that_break_the_ax
                 _bounded(automorphism_group, X)
                 _bounded(is_homogeneous, X)
                 w = _bounded(find_isomorphism, X, Y)
-                assert w is None or (sorted(w) == list(range(n)) and is_homomorphism(w, X, Y))
-                for told in (False, True):
-                    for f in _bounded(lambda: list(_isomorphisms(X, X, told)())):
-                        assert sorted(f) == list(range(n)) and is_homomorphism(f, X, X), (table, f)
+                maps = [
+                    _bounded(lambda: list(_isomorphisms(X, X, told)())) for told in (False, True)
+                ]
+                if validate_quandle(table):
+                    with pytest.raises(InvalidQuandleError):
+                        Quandle(table)
+                    continue
+                quandles += 1
+                assert w is not None and sorted(w) == list(range(n)) and is_homomorphism(w, X, Y)
+                for f in maps[0] + maps[1]:
+                    assert sorted(f) == list(range(n)) and is_homomorphism(f, X, X), (table, f)
     finally:
         signal.signal(signal.SIGALRM, previous)
+    assert quandles == 7
 
 
 def test_search_keeps_nothing_of_size_n_squared():
@@ -426,22 +443,22 @@ def _refuted_against(tables):
 
 def test_point_profiles_against_are_none_exactly_when_the_sorted_profiles_differ():
     # Every ordered pair of distinct tables of one order in the oracle corpus,
-    # and each shape-valid table of order at most 3 against a relabelling of
-    # itself, the next table and a seeded draw.
+    # and each labelled quandle of order at most 3 against a relabelling of
+    # itself, the next one and a seeded draw.
     by_order = {}
     for X in oracle_corpus():
         by_order.setdefault(X.n, []).append(X)
     pairs = ((Y, X) for same in by_order.values() for X in same for Y in same if Y is not X)
     assert _refuted_against(pairs) == (313952, 285428)
     rng = random.Random(3)
-    tables = {n: [unchecked(table) for table in every_table(n)] for n in (1, 2, 3)}
+    tables = {n: list(enumerate_quandles(n)) for n in (1, 2, 3)}
     pairs = (
         (Y, X)
         for same in tables.values()
         for k, Y in enumerate(same)
         for X in (relabeled(Y, rng), same[k - 1], rng.choice(same))
     )
-    assert _refuted_against(pairs) == (59100, 38002)
+    assert _refuted_against(pairs) == (21, 6)
 
 
 def _count_perm_orders(monkeypatch):
