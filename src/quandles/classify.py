@@ -5,12 +5,16 @@ sizes are odd prime powers, namely the primary decomposition of its (abelian)
 displacement group.  `classify_flat_connected` gets a few commuting
 generators of that group from the flatness check in `analysis`, reads the
 factors off its torsion counts, and certifies them by an isomorphism onto the
-predicted product.  That Dis acts regularly, so a subgroup's order is the
-size of its orbit of 0, which grows by the block rule: #{h : h^q = 1} is n
-over the size of the orbit under the q-th powers of the generators, and one
-counting rule turns the counts into the factors.  No element of Dis is
-listed.  `abelian_invariants` keeps generators from a group's rows by the
-same walk and reads them by the same rule.  The product is sliced by
+predicted product, read off a basis of Dis: such a quandle is the Takasaki
+quandle s_x(y) = 2x - y of its Dis, so the coordinate map, which labels each
+point by its coordinates in a basis with one element per factor, carries it
+onto the product of the R_q, and nothing is searched.  That Dis acts
+regularly, so a subgroup's order is the size of its orbit of 0, which
+grows by the block rule: #{h : h^q = 1} is n over the size of the orbit
+under the q-th powers of the generators, and one counting rule turns the
+counts into the factors.  No element of Dis is listed.
+`abelian_invariants` keeps generators from a group's rows by the same walk
+and reads them by the same rule.  The product is sliced by
 `core._cyclic_table`, which builds every cyclic and dihedral table.
 `odd_prime_power_multisets` lists the factorizations of an order in one
 recursion, and `predicted_count` and `build_representatives` read off that
@@ -19,6 +23,7 @@ list.  Nothing is cached between calls.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Quandle, _cyclic_table, _preserves
@@ -168,25 +173,68 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     The isomorphism witness onto the dihedral product P of the factors is
     the one certificate: it is checked on all n^2 pairs, so it also
     certifies that X satisfies the axioms and that the factors are right.
-    It is the identity if X's table is P's; else the source paper's theorem
-    says that X is isomorphic to P, so the search is told so and takes the
-    profile heads only (see `isomorphism._isomorphisms`): on this connected
-    pair its candidates, and so its witness, are those of
-    `find_isomorphism`.
-    """
-    from . import analysis, isomorphism, perms
 
+    The witness is the identity if X's table is P's.  Else it is the
+    coordinate map, read off a basis of Dis with one element per factor, in
+    the order of the factors; nothing is searched.  Column 0 is a bijection,
+    x -> s_x(0) = 2x, so g_z = s_x . s_0 with s_x(0) = z is the element of
+    Dis that sends 0 to z.  For each q = p^e the basis takes the least z
+    outside the span S so far such that g_z has order q, the length of the
+    cycle of 0, and g_z^(q/p)(0) is outside S; S grows by the block rule
+    (`perms._grow`), which walks its first generator fastest.  So the orbit
+    of 0 under the basis, last element first, lists the points row-major,
+    as `core._cyclic_table` labels P, and the witness, that list's inverse,
+    sends 0 to 0.
+
+    Why each step finds an element: by induction S is a direct summand of
+    Dis, and its complement C = Dis/S has the factors not yet taken.  They
+    come largest first within each prime, so q is the exponent of the
+    p-part of C, and a generator of a factor Z_q of C qualifies.  Any b
+    that qualifies meets S only in 0, since b^(q/p) spans the least nonzero
+    subgroup of the cyclic p-group <b>.  So b has order q in Dis/S, and as q
+    is the p-exponent there, its image spans a summand: S + <b> is again a
+    direct summand of Dis.
+
+    Why the witness is an isomorphism: s_0 inverts the abelian Dis and s_x =
+    g_x s_0 g_x^-1, so s_x(y) = g_x^2 g_y^-1(0), and any isomorphism of Dis
+    onto Z_q1 + ... + Z_qr carries that rule to s_x(y) = 2x - y, the rule of
+    P.  X is the Takasaki quandle of Dis (M. Takasaki, Tohoku Math. J. 49
+    (1943)).
+    """
+    from . import analysis, perms
+
+    n, rows = X.n, X.table
     if not analysis.is_connected(X):
-        raise ClassificationError("not-connected", f"order-{X.n} quandle is disconnected")
+        raise ClassificationError("not-connected", f"order-{n} quandle is disconnected")
     gens = analysis._flat_dis_generators(X)
     if gens is None:
-        raise ClassificationError("not-flat", f"order-{X.n} quandle has a non-commutative displacement group")
-    factors = _primary_factors(X.n, perms._torsion(gens, 0, X.n))
+        raise ClassificationError("not-flat", f"order-{n} quandle has a non-commutative displacement group")
+    factors = _primary_factors(n, perms._torsion(gens, 0, n))
     P = _dihedral_product(factors)
-    if X.table == P.table:
-        return FlatDecomposition(factors, tuple(range(X.n)))
-    witness = next(isomorphism._isomorphisms(X, P, isomorphic=True)(), None)
-    if witness is None or not _preserves(witness, X.table, P.table):
+    if rows == P.table:
+        return FlatDecomposition(factors, tuple(range(n)))
+    times_s0 = itemgetter(*rows[0])
+    at = [0] * n  # at[z] = the x with s_x(0) = z
+    for x, row in enumerate(rows):
+        at[row[0]] = x
+    basis, reached, seen = [], [0], {0}
+    for q in factors:
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        for z in range(n):
+            if z in seen:
+                continue
+            g = times_s0(rows[at[z]])
+            cycle, y = [0], g[0]
+            while y and len(cycle) <= q:  # the cycle of 0, cut at q + 1 points
+                cycle.append(y)
+                y = g[y]
+            if len(cycle) == q and cycle[q // p] not in seen:
+                basis.append(g)
+                perms._grow(reached, seen, g)
+                break
+    points = perms._commuting_orbit(basis[::-1], 0)
+    witness = perms.inverse(points) if len(points) == n else None
+    if witness is None or not _preserves(witness, rows, P.table):
         raise TheoremViolationError(
             f"no isomorphism onto the dihedral product {factors}: {X.table}"
         )

@@ -16,13 +16,12 @@ of X and stop where the sorted lists would first differ (see
 `_point_profiles`), so every answer and witness is the one the full lists give.
 
 The search also uses the symmetry of a quandle (see `_isomorphisms`): a
-search whose caller knows that an isomorphism exists (X against itself, or
-`classify`'s flat connected X onto its dihedral product) refutes nothing and
-compares only the heads of the profiles, and none at all on a connected
-pair, where every point has the same head; f(0) tries one image per inner
-orbit of Y, and `automorphism_group` lists Aut as Inn . Aut_0 (McKay and
-Piperno's pruning by automorphisms known in advance).  `find_isomorphism`
-must refute, so it keeps the full profiles."""
+search whose caller knows that an isomorphism exists (X against itself)
+refutes nothing and compares only the heads of the profiles, and none at all
+on a connected pair, where every point has the same head; f(0) tries one
+image per inner orbit of Y, and `automorphism_group` lists Aut as
+Inn . Aut_0 (McKay and Piperno's pruning by automorphisms known in
+advance).  `find_isomorphism` must refute, so it keeps the full profiles."""
 
 from __future__ import annotations
 
@@ -204,7 +203,7 @@ def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
     soon as they differ (see `_point_profiles`), which is the answer the
     complete lists give.  A caller that knows an isomorphism exists passes
     `isomorphic`: a search of X against itself (`is_homogeneous`,
-    `automorphism_group`) or onto the dihedral product of `classify`.  Then
+    `automorphism_group`).  Then
     nothing is refuted and only the heads are taken: every isomorphism keeps
     the full profiles, so a candidate the orders would have refused is a
     dead branch that the row checks close, and the maps yielded are the
@@ -216,8 +215,7 @@ def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
     neither, so Y is connected too.  The rows of a connected quandle act
     transitively and are automorphisms, so every point has one head and
     every candidate list is all of Y, which is what the equal heads give;
-    so `classify`'s witness and `automorphism_group` of a connected X are
-    those of the heads.
+    so `automorphism_group` of a connected X is that of the heads.
 
     Assigns the points of X in generation order.  A start tries the points
     of Y with its profile; any other point t = s_a(b) is pinned to

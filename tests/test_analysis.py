@@ -12,7 +12,6 @@ from conftest import (
     relabeled,
     small_corpus,
     transposition_quandle,
-    unchecked,
 )
 from quandles import (
     Quandle,
@@ -373,18 +372,16 @@ def test_flat_connected_dis_matches_the_closed_displacement_group():
     assert (flat, non_flat) == (82, 426)
 
 
-def test_flat_connected_dis_refuses_a_regular_non_abelian_group():
-    # The rows are the left multiplications of S_3 = {a^i b^j} on itself:
-    # Dis is S_3 acting regularly, so no two of its elements agree at 0.  The
-    # walk keeps a, whose orbit of 0 is <a>; the next point outside it gives
-    # b, and only the commute check shows that Dis is not abelian.
-    # Not a quandle, so it is built without the axiom check.
-    e, a, b = (0, 1, 2), (1, 2, 0), (0, 2, 1)
-    powers = [e, a, compose(a, a)]
-    S3 = powers + [compose(p, b) for p in powers]
-    index = {p: i for i, p in enumerate(S3)}
-    X = unchecked([[index[compose(p, q)] for q in S3] for p in S3])
-    assert is_connected(X) and len(displacement_group(X)) == 6
+def test_flatness_walk_refuses_the_transpositions_of_s4_at_the_commute_check():
+    # The transpositions of S_4: a connected quandle of order 6 whose rows
+    # are involutions, so s_0 . s_0 passes, and whose Dis has 12 elements.
+    # Only the commute check of the walk can refuse it: the walk over
+    # x -> s_x . s_0 meets two of its kept elements that do not commute.
+    X = transposition_quandle(4)
+    rows = X.table
+    assert X.n == 6 and is_connected(X) and len(displacement_group(X)) == 12
+    assert compose(rows[0], rows[0]) == identity_perm(6)
+    assert perms._commuting_walk(6, 0, lambda x: compose(rows[x], rows[0])) is None
     assert _flat_dis_generators(X) is None and not is_flat(X)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import reduce
 
 import pytest
 
@@ -355,15 +356,45 @@ def test_swaps_within_a_row_of_a_relabelled_r3_to_the_fourth_are_refused():
         assert exc.value.violations == violations
 
 
-def test_classify_witness_is_the_first_isomorphism_onto_the_product():
-    # The witness search is told that X and the product are isomorphic and
-    # takes the profile heads only; it must find find_isomorphism's map.
+def _folded_product(factors):
+    # The dihedral product folded by direct_product, not sliced by the
+    # builder that classify uses.
+    return reduce(direct_product, map(dihedral_quandle, factors), dihedral_quandle(1))
+
+
+def test_classify_witness_is_the_coordinate_map_onto_the_product():
+    # The witness reads each point's coordinates in a basis of Dis: a
+    # bijective homomorphism onto the product, 0 to 0, the identity on the
+    # product itself, and the same on every call.
     rng = random.Random(22)
     for n in range(1, 106, 2):
         for P in build_representatives(n):
             for X in (P, relabeled(P, rng)):
                 factors, witness = classify_flat_connected(X)
-                assert witness == find_isomorphism(X, _dihedral_product(factors)), X.table
+                assert sorted(witness) == list(range(n))
+                assert is_homomorphism(witness, X, _folded_product(factors)), X.table
+                assert witness[0] == 0
+                assert classify_flat_connected(X).witness == witness
+                assert X is not P or witness == tuple(range(n))
+
+
+@pytest.mark.parametrize("n", [225, 243])
+def test_classify_reads_a_basis_of_every_abelian_dis_of_the_order(n):
+    # Every multiset of the order, 4 of 225 and 7 of 243, most of them Dis
+    # that are not cyclic, in 5 seeded relabellings each: a basis step that
+    # takes an element whose powers meet the span so far gives a map that
+    # is not onto the product.
+    multisets = odd_prime_power_multisets(n)
+    assert len(multisets) == {225: 4, 243: 7}[n]
+    rng = random.Random(n)
+    for factors in multisets:
+        P = _folded_product(factors)
+        for _ in range(5):
+            X = relabeled(P, rng)
+            decomposition = classify_flat_connected(X)
+            assert decomposition.factors == factors
+            assert sorted(decomposition.witness) == list(range(n))
+            assert is_homomorphism(decomposition.witness, X, P), factors
 
 
 def test_classify_round_trip_small():
@@ -405,9 +436,7 @@ def test_affine_census_at_orders_p_and_p_squared(p):
         except ClassificationError as e:
             assert e.certificate == "not-flat"
             continue
-        P = trivial_quandle(1)
-        for q in factors:
-            P = direct_product(P, dihedral_quandle(q))
+        P = _folded_product(factors)
         assert sorted(witness) == list(range(X.n)) and is_homomorphism(witness, X, P)
         flat.append(factors)
     assert sorted(flat) == [(p,), (p, p), (p * p,)]
