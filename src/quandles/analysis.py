@@ -123,7 +123,7 @@ def is_homogeneous(X: Quandle) -> bool:
     reached = orbit(rows, 0)
     if len(reached) == X.n:
         return True
-    isomorphisms = _isomorphisms(X, X, isomorphic=True)
+    isomorphisms = _isomorphisms(X)
     for y in reversed(range(X.n)):
         if y not in reached:
             f = next(isomorphisms((y,)), None)

@@ -16,12 +16,13 @@ of X and stop where the sorted lists would first differ (see
 `_point_profiles`), so every answer and witness is the one the full lists give.
 
 The search also uses the symmetry of a quandle (see `_isomorphisms`): a
-search whose caller knows that an isomorphism exists (X against itself)
-refutes nothing and compares only the heads of the profiles, and none at all
-on a connected pair, where every point has the same head; f(0) tries one
-image per inner orbit of Y, and `automorphism_group` lists Aut as
-Inn . Aut_0 (McKay and Piperno's pruning by automorphisms known in
-advance).  `find_isomorphism` must refute, so it keeps the full profiles."""
+search of X against itself (`is_homogeneous`, `automorphism_group`) knows
+that the identity extends, so it refutes nothing and compares only the
+heads of the profiles, which keep each start off the inner orbits of other
+heads; f(0) tries one image per inner orbit of Y, and `automorphism_group`
+lists Aut as Inn . Aut_0 (McKay and Piperno's pruning by automorphisms
+known in advance).  `find_isomorphism` must refute, so it keeps the full
+profiles."""
 
 from __future__ import annotations
 
@@ -47,9 +48,7 @@ def is_homomorphism(f, X: Quandle, Y: Quandle) -> bool:
     return _preserves(f, X.table, Y.table)
 
 
-def _point_profiles(
-    X: Quandle, against: list | None = None, heads_only: bool = False
-) -> list | None:
+def _point_profiles(X: Quandle, against: list | None = None) -> list | None:
     """Per-point invariant: (inner orbit size, cycle type of s_y, number of x
     with s_x(y) = y, sorted orders of s_x . s_y over all x).
 
@@ -77,31 +76,15 @@ def _point_profiles(
     X' lacks, so every answer is the one the full lists give.  A finished
     profile that X' has takes the equal tuple of X', so the final comparison
     of the sorted lists and the search's matching of points are by identity.
-
-    With `heads_only`, each profile is its head alone and no order is
-    computed; a told search on a disconnected pair takes these (see
-    `_isomorphisms`).  Then the fixed-point counts of every column come from
-    one C-level count per column, and the cycle type of each distinct row is
-    computed once (T_n has one row and n inner orbits).
     """
     rows = X.table
     ident = identity_perm(X.n)
     profiles = [None] * X.n
     if against is not None:
         ranked = sorted(against)
-    if heads_only:
-        fixers = list(map(tuple.count, zip(*rows), range(X.n)))  # column y counts y
-        types = {}  # cycle type by row
     for y, ry in enumerate(rows):
         if profiles[y] is None:
             orb = orbit(rows, y)
-            if heads_only:
-                if ry not in types:
-                    types[ry] = cycle_lengths(ry)
-                head = (len(orb), types[ry], fixers[y])
-                for z in orb:
-                    profiles[z] = head
-                continue
             head = (len(orb), cycle_lengths(ry), sum(r[y] == y for r in rows))
             if against is not None:
                 i = bisect_left(ranked, head)  # a head sorts before the profiles it starts
@@ -190,61 +173,60 @@ def _generation_order(X: Quandle) -> tuple[list[int], list]:
     return order, pins
 
 
-def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
-    """Set up once, the search for isomorphisms X -> Y: a function of the
-    images to try for f(0) that returns a generator of the isomorphisms in
-    search order.  By default f(0) tries the least candidate in each inner
-    orbit of Y: Inn(Y) acts on the isomorphisms by g -> g . f, so some f
-    sends 0 to c exactly when one sends it to each point of c's orbit.  A
-    connected Y, which the orbit size in any head of Y tells, has one orbit,
-    so f(0) tries only the least candidate, 0.
+def _heads(X: Quandle) -> list:
+    """Per point, the head of its profile (see `_point_profiles`): inner
+    orbit size, cycle type of s_y and number of x with s_x(y) = y.  Like the
+    profile it is constant on an inner orbit and kept by every isomorphism."""
+    rows = X.table
+    heads = [None] * X.n
+    for y, ry in enumerate(rows):
+        if heads[y] is None:
+            orb = orbit(rows, y)
+            head = (len(orb), cycle_lengths(ry), sum(r[y] == y for r in rows))
+            for z in orb:
+                heads[z] = head
+    return heads
+
+
+def _isomorphisms(X: Quandle, Y: Quandle | None = None):
+    """Set up once, the search for isomorphisms X -> Y, or for the
+    automorphisms of X if Y is not given: a function of the images to try
+    for f(0) that returns a generator of the isomorphisms in search order.
+    By default f(0) tries the least candidate in each inner orbit of Y:
+    Inn(Y) acts on the isomorphisms by g -> g . f, so some f sends 0 to c
+    exactly when one sends it to each point of c's orbit.  A connected Y,
+    which the orbit size in any head of Y tells, has one orbit, so f(0)
+    tries only the least candidate, 0.
 
     Y's profiles are computed against X's, and the search yields nothing as
     soon as they differ (see `_point_profiles`), which is the answer the
-    complete lists give.  A caller that knows an isomorphism exists passes
-    `isomorphic`: a search of X against itself (`is_homogeneous`,
-    `automorphism_group`).  Then
-    nothing is refuted and only the heads are taken: every isomorphism keeps
-    the full profiles, so a candidate the orders would have refused is a
-    dead branch that the row checks close, and the maps yielded are the
-    same.  The candidates of the starts are then grouped by head in one pass
-    over Y.
-
-    A told pair with X connected (the orbit of 0 under the rows is every
-    point) takes no heads at all: isomorphic quandles are both connected or
-    neither, so Y is connected too.  The rows of a connected quandle act
-    transitively and are automorphisms, so every point has one head and
-    every candidate list is all of Y, which is what the equal heads give;
-    so `automorphism_group` of a connected X is that of the heads.
+    complete lists give.  A search of X against itself (`is_homogeneous`,
+    `automorphism_group`) knows that the identity extends, so it refutes
+    nothing and takes the heads alone: a candidate that the orders would
+    refuse is a dead branch that the row checks close, so the maps yielded
+    are the same.  The heads still prune: a start that tried every point
+    would meet, on inner orbits that differ in head, dead branches that
+    backtracking enumerates once per assignment of the points between.
 
     Assigns the points of X in generation order.  A start tries the points
-    of Y with its profile; any other point t = s_a(b) is pinned to
+    of Y with its profile or head; any other point t = s_a(b) is pinned to
     s_f(a)(f(b)).  Only the starts' rows prune, each cell once its three
     points are assigned, so a complete map preserves them and is an
     isomorphism (see the module docstring).  The stack holds one iterator
     over the options of each point assigned so far."""
-    n, xt, yt = X.n, X.table, Y.table
-    connected = isomorphic and len(orbit(xt, 0)) == n
-    if not isomorphic:
-        px = _point_profiles(X)
+    n, xt = X.n, X.table
+    if Y is None:
+        yt = xt
+        px = py = _heads(X)
+    else:
+        yt, px = Y.table, _point_profiles(X)
         py = _point_profiles(Y, px)
         if py is None:
             return lambda images=None: iter(())
-    elif not connected:
-        px = _point_profiles(X, heads_only=True)
-        py = px if Y is X else _point_profiles(Y, heads_only=True)
     order, pins = _generation_order(X)
     level = inverse(order)
     starts = [x for x in order if pins[x] is None]
-    if connected:
-        candidates = dict.fromkeys(starts, range(n))
-    elif isomorphic:  # the points of Y by head, in one pass
-        by_head = {}
-        for y, head in enumerate(py):
-            by_head.setdefault(head, []).append(y)
-        candidates = {x: by_head.get(px[x], []) for x in starts}
-    else:
-        candidates = {x: [y for y in range(n) if py[y] == px[x]] for x in starts}
+    candidates = {x: [y for y in range(n) if py[y] == px[x]] for x in starts}
     checks = [[] for _ in range(n)]
     for a in candidates:
         for b, t in enumerate(xt[a]):
@@ -252,7 +234,7 @@ def _isomorphisms(X: Quandle, Y: Quandle, isomorphic: bool = False):
 
     def isomorphisms(images=None):
         if images is None:  # the least candidate of each inner orbit of Y
-            if connected or py[0][0] == n:
+            if py[0][0] == n:
                 first = candidates[0][:1]
             else:
                 first = _least_per_orbit(yt, candidates[0])
@@ -339,7 +321,7 @@ def automorphism_group(X: Quandle) -> PermutationGroup:
     rows, n = X.table, X.n
     inner = [rows[a] for a in _generators(rows)]
     autos, trees = [], {}
-    for f in _isomorphisms(X, X, isomorphic=True)():
+    for f in _isomorphisms(X)():
         if f[0] not in trees:
             trees[f[0]] = _transversal(inner, f[0], n)
         autos += map(itemgetter(*f) if n > 1 else tuple, trees[f[0]])  # g -> g . f
