@@ -22,7 +22,8 @@ from operator import itemgetter
 from .core import Quandle
 from .isomorphism import _isomorphisms
 from .perms import (
-    PermutationGroup, _close, _commute, _commuting_walk, closure, compose, identity_perm, orbit
+    PermutationGroup, _close, _commute, _flat_dis_generators, closure, compose, identity_perm,
+    orbit
 )
 
 
@@ -42,47 +43,6 @@ def _displacement_generators(X: Quandle) -> list:
 def displacement_group(X: Quandle) -> PermutationGroup:
     """Group generated by all compositions s_x . s_y, closed from `_displacement_generators`."""
     return closure(_displacement_generators(X))
-
-
-def _flat_dis_generators(X: Quandle) -> list | None:
-    """A few commuting generators of Dis of a connected X, if Dis is
-    commutative; else None.
-
-    The walk: s_0 . s_0 must be the identity.  Then `_commuting_walk` visits
-    x = 1, 2, ... while the orbit H.0 of the group H kept so far misses a
-    point, and composes g = s_x . s_0 only for an x not in H.0.  It skips g
-    if g(0) is in H.0, and else keeps g if it commutes with every generator
-    kept before it; H.0 grows by the block rule of `_grow`.  No element of
-    Dis is listed.
-
-    Why H is all of Dis once H.0 = X: X is connected, so every row is
-    conjugate to s_0 in Inn and, like s_0, is an involution.  Let S be 0 and
-    the points whose g was kept: each point of H.0 lies in the subquandle
-    that S generates, so S generates X and the s_a (a in S) generate Inn.
-    N = <s_a . s_0 : a in S> is H, and it is normal in Inn,
-    since s_0 (s_a . s_0) s_0 = (s_a . s_0)^-1 and s_a = (s_a . s_0) s_0.
-    Every s_a, hence every s_x, is s_0 modulo N, so every s_x . s_y lies in
-    N.  H is abelian and transitive, so it is regular.
-
-    Why no walk on a flat X fails: Dis is transitive, since Inn = Dis u
-    Dis.s_0 and s_0 fixes 0, so an abelian Dis is regular.  Then
-    s_0 . s_0, in Dis and fixing 0, is the identity; every kept g commutes;
-    and a g skipped at an x outside H.0 is the element of H that agrees with
-    it at 0.  For x in H.0, s_x = h s_0 h^-1 for the h in H with h(0) = x, and
-    s_0 normalizes H as above, so s_x . s_0 is in H too.  So at the end every
-    s_x . s_0 is in H, H = Dis and H.0 = X.  Hence a walk that fails, or
-    ends with H.0 short of X, shows that Dis is not commutative.
-    """
-    n, rows = X.n, X.table
-    if n < 2:  # itemgetter of one index returns a bare item, not a tuple
-        return list(rows)
-    times_s0 = itemgetter(*rows[0])
-    if times_s0(rows[0]) != identity_perm(n):
-        return None
-    walk = _commuting_walk(n, 0, lambda x: times_s0(rows[x]))
-    if walk is None or len(walk[1]) < n:
-        return None
-    return walk[0]
 
 
 def is_connected(X: Quandle) -> bool:

@@ -3,7 +3,7 @@
 Such a quandle is isomorphic to a direct product of dihedral quandles whose
 sizes are odd prime powers, namely the primary decomposition of its (abelian)
 displacement group.  `classify_flat_connected` gets a few commuting
-generators of that group from the flatness check in `analysis`, reads the
+generators of that group from the flatness walk in `perms`, reads the
 factors off its torsion counts, and certifies them by an isomorphism onto the
 predicted product, read off a basis of Dis: such a quandle is the Takasaki
 quandle s_x(y) = 2x - y of its Dis, so the coordinate map, which labels each
@@ -163,10 +163,14 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     """Decompose a flat connected quandle into odd-prime-power dihedral factors.
 
     Connectivity and flatness are verified, not assumed: a disconnected or
-    non-flat quandle is an error naming the failed certificate.  Flatness
-    comes from `_flat_dis_generators`, which keeps a few commuting
-    generators of Dis by a walk over the points: a transitive abelian group
-    is regular.  The factors are the primary decomposition of that regular Dis, read by
+    non-flat quandle is an error naming the failed certificate.  Both come
+    from `perms._flat_dis_generators`, which keeps a few commuting
+    generators of Dis by a walk over the points and succeeds exactly when X
+    is connected and Dis abelian: a transitive abelian group is regular.
+    Only a failed walk computes the orbit of the rows, to name the
+    certificate: not-connected if it misses a point, else not-flat, the
+    names that checking connectivity first gave.  The factors are the
+    primary decomposition of that regular Dis, read by
     `_primary_factors` from its torsion counts: h -> h^q is an endomorphism
     of the abelian Dis with image <g^q : g kept>, so #{h : h^q = 1} = n /
     |<g^q : g kept>.0|, and that orbit grows by the block rule (`_torsion`).
@@ -201,14 +205,18 @@ def classify_flat_connected(X: Quandle) -> FlatDecomposition:
     P.  X is the Takasaki quandle of Dis (M. Takasaki, Tohoku Math. J. 49
     (1943)).
     """
-    from . import analysis, perms
+    from . import perms
 
     n, rows = X.n, X.table
-    if not analysis.is_connected(X):
-        raise ClassificationError("not-connected", f"order-{n} quandle is disconnected")
-    gens = analysis._flat_dis_generators(X)
+    gens = perms._flat_dis_generators(X)
     if gens is None:
-        raise ClassificationError("not-flat", f"order-{n} quandle has a non-commutative displacement group")
+        from .analysis import is_connected
+
+        if not is_connected(X):
+            raise ClassificationError("not-connected", f"order-{n} quandle is disconnected")
+        raise ClassificationError(
+            "not-flat", f"order-{n} quandle has a non-commutative displacement group"
+        )
     factors = _primary_factors(n, perms._torsion(gens, 0, n))
     P = _dihedral_product(factors)
     if rows == P.table:

@@ -10,9 +10,13 @@ the rows a and b, it preserves the row s_{s_a(b)} = s_a s_b s_a^-1, so a
 bijection that preserves the rows of the starts preserves every row.  The
 search is complete.
 
-Tables that are not isomorphic are told apart before the search is set up,
-as early as the profiles allow: the profiles of Y are computed against those
-of X and stop where the sorted lists would first differ (see
+Tables that are not isomorphic are told apart before the search is set up.
+A flat connected quandle is the Takasaki quandle s_x(y) = 2x - y of its
+abelian displacement group Dis, so two of them are isomorphic exactly when
+their Dis are: the flatness walk runs on both tables, and the torsion counts
+of Dis tell such a pair apart (see `_isomorphisms`).  Other pairs are told
+apart as early as the profiles allow: the profiles of Y are computed against
+those of X and stop where the sorted lists would first differ (see
 `_point_profiles`), so every answer and witness is the one the full lists give.
 
 The search also uses the symmetry of a quandle (see `_isomorphisms`): a
@@ -21,8 +25,9 @@ that the identity extends, so it refutes nothing and compares only the
 heads of the profiles, which keep each start off the inner orbits of other
 heads; f(0) tries one image per inner orbit of Y, and `automorphism_group`
 lists Aut as Inn . Aut_0 (McKay and Piperno's pruning by automorphisms
-known in advance).  `find_isomorphism` must refute, so it keeps the full
-profiles."""
+known in advance).  `find_isomorphism` must refute, so it keeps the
+torsion counts of Dis for flat connected pairs and the full profiles for
+the rest."""
 
 from __future__ import annotations
 
@@ -33,7 +38,8 @@ from operator import itemgetter
 
 from .core import Quandle, _generators, _preserves
 from .perms import (
-    PermutationGroup, compose, cycle_lengths, identity_perm, inverse, orbit, perm_order
+    PermutationGroup, _flat_dis_generators, _torsion, compose, cycle_lengths, identity_perm,
+    inverse, orbit, perm_order
 )
 
 
@@ -198,15 +204,30 @@ def _isomorphisms(X: Quandle, Y: Quandle | None = None):
     which the orbit size in any head of Y tells, has one orbit, so f(0)
     tries only the least candidate, 0.
 
-    Y's profiles are computed against X's, and the search yields nothing as
-    soon as they differ (see `_point_profiles`), which is the answer the
-    complete lists give.  A search of X against itself (`is_homogeneous`,
-    `automorphism_group`) knows that the identity extends, so it refutes
-    nothing and takes the heads alone: a candidate that the orders would
-    refuse is a dead branch that the row checks close, so the maps yielded
-    are the same.  The heads still prune: a start that tried every point
-    would meet, on inner orbits that differ in head, dead branches that
-    backtracking enumerates once per assignment of the points between.
+    Against a second table, the flatness walk runs on both first.  It
+    succeeds exactly on the flat connected quandles (see
+    `perms._flat_dis_generators`), which an isomorphism keeps, so if one
+    walk succeeds and the other fails, the search yields nothing.  If both
+    succeed, X and Y are the Takasaki quandles of their abelian Dis (see
+    `classify.classify_flat_connected`), so they are isomorphic exactly when
+    the two Dis are, that is when the counts #{h : h^q = 1} (`perms._torsion`)
+    agree at every divisor q of n: these hold the counts at each p^k that
+    `classify._primary_factors` reads.  The search yields nothing at the
+    first count that differs.  Otherwise it runs as the profiles would have
+    it: X is connected, so all of its points share one profile, every point
+    of Y is a candidate for each start and f(0) tries 0 alone.  Its maps and
+    witness are the same, and no profile is computed.  If neither walk
+    succeeds, Y's profiles are computed against X's, and the search yields
+    nothing as soon as they differ (see `_point_profiles`), which is the
+    answer the complete lists give.
+
+    A search of X against itself (`is_homogeneous`, `automorphism_group`)
+    knows that the identity extends, so it refutes nothing and takes the
+    heads alone: a candidate that the orders would refuse is a dead branch
+    that the row checks close, so the maps yielded are the same.  The heads
+    still prune: a start that tried every point would meet, on inner orbits
+    that differ in head, dead branches that backtracking enumerates once per
+    assignment of the points between.
 
     Assigns the points of X in generation order.  A start tries the points
     of Y with its profile or head; any other point t = s_a(b) is pinned to
@@ -219,8 +240,16 @@ def _isomorphisms(X: Quandle, Y: Quandle | None = None):
         yt = xt
         px = py = _heads(X)
     else:
-        yt, px = Y.table, _point_profiles(X)
-        py = _point_profiles(Y, px)
+        yt, gx, gy = Y.table, _flat_dis_generators(X), _flat_dis_generators(Y)
+        if gx is None and gy is None:
+            px = _point_profiles(X)
+            py = _point_profiles(Y, px)
+        elif gx is None or gy is None:
+            py = None
+        else:
+            tx, ty = _torsion(gx, 0, n), _torsion(gy, 0, n)
+            same = all(tx(q) == ty(q) for q in range(2, n) if n % q == 0)
+            px = py = [(n,)] * n if same else None  # one profile, read for its orbit size
         if py is None:
             return lambda images=None: iter(())
     order, pins = _generation_order(X)

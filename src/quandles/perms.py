@@ -4,7 +4,8 @@ Groups at this scale (a few thousand elements on at most a few dozen points)
 are enumerated by breadth-first closure; nothing here needs strong generating
 sets.  A regular abelian group is not enumerated: a few commuting generators,
 kept by `_commuting_walk`, give its orbits by the block rule (`_grow`) and
-its torsion counts (`_torsion`).
+its torsion counts (`_torsion`).  `_flat_dis_generators` keeps them for the
+displacement group of a flat connected quandle.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from itertools import combinations
 from operator import itemgetter
 
-from .core import ClosureLimitError
+from .core import ClosureLimitError, Quandle
 
 Perm = tuple[int, ...]
 
@@ -140,6 +141,51 @@ def _commuting_walk(degree: int, base: int, candidate):
         getters.append(times_g)
         _grow(reached, seen, g)
     return kept, reached
+
+
+def _flat_dis_generators(X: Quandle) -> list | None:
+    """A few commuting generators of Dis if X is connected and Dis is
+    commutative; else None.  So it also decides connectivity on a flat X.
+
+    The walk: s_0 . s_0 must be the identity.  Then `_commuting_walk` visits
+    x = 1, 2, ... while the orbit H.0 of the group H kept so far misses a
+    point, and composes g = s_x . s_0 only for an x not in H.0.  It skips g
+    if g(0) is in H.0, and else keeps g if it commutes with every generator
+    kept before it; H.0 grows by the block rule of `_grow`.  No element of
+    Dis is listed.
+
+    Why a disconnected X gives None: H is generated by products s_x . s_0,
+    so H <= Dis <= Inn, and H.0 = X would make Inn transitive.
+
+    Why H is all of Dis once H.0 = X: X is connected, as just shown, so
+    every row is conjugate to s_0 in Inn and, like s_0, is an involution.
+    Let S be 0 and the points whose g was kept: each point of H.0 lies in
+    the subquandle that S generates, so S generates X and the s_a (a in S)
+    generate Inn.  N = <s_a . s_0 : a in S> is H, and it is normal in Inn,
+    since s_0 (s_a . s_0) s_0 = (s_a . s_0)^-1 and s_a = (s_a . s_0) s_0.
+    Every s_a, hence every s_x, is s_0 modulo N, so every s_x . s_y lies in
+    N.  H is abelian and transitive, so it is regular.
+
+    Why no walk on a flat connected X fails: Dis is transitive, since Inn =
+    Dis u Dis.s_0 and s_0 fixes 0, so an abelian Dis is regular.  Then
+    s_0 . s_0, in Dis and fixing 0, is the identity; every kept g commutes;
+    and a g skipped at an x outside H.0 is the element of H that agrees with
+    it at 0.  For x in H.0, s_x = h s_0 h^-1 for the h in H with h(0) = x, and
+    s_0 normalizes H as above, so s_x . s_0 is in H too.  So at the end every
+    s_x . s_0 is in H, H = Dis and H.0 = X.  Hence a walk that fails, or
+    ends with H.0 short of X, shows that X is disconnected or that Dis is
+    not commutative.
+    """
+    n, rows = X.n, X.table
+    if n < 2:  # itemgetter of one index returns a bare item, not a tuple
+        return list(rows)
+    times_s0 = itemgetter(*rows[0])
+    if times_s0(rows[0]) != identity_perm(n):
+        return None
+    walk = _commuting_walk(n, 0, lambda x: times_s0(rows[x]))
+    if walk is None or len(walk[1]) < n:
+        return None
+    return walk[0]
 
 
 def _torsion(gens, base: int, order: int):

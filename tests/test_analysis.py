@@ -372,6 +372,25 @@ def test_flat_connected_dis_matches_the_closed_displacement_group():
     assert (flat, non_flat) == (82, 426)
 
 
+def test_flatness_walk_succeeds_exactly_on_the_flat_connected_quandles():
+    # The walk keeps its generators only when they reach every point from 0,
+    # so it also decides connectivity: it returns None on a disconnected
+    # quandle even when Dis is abelian, as on T_n, R_4, R3xT3 and R5xT3.
+    # Both sides are read off their definitions: the orbit of 0 under the
+    # closed inner group, and Dis closed from every s_x . s_y.
+    quandles = oracle_corpus() + [dihedral_quandle(4)]
+    quandles += [direct_product(dihedral_quandle(m), trivial_quandle(3)) for m in (3, 5)]
+    quandles += [trivial_quandle(n) for n in range(1, 7)]
+    found = {}
+    for X in quandles:
+        rows = X.table
+        connected = is_transitive(inner_group(X))
+        abelian = is_abelian(closure([compose(rx, ry) for rx in rows for ry in rows]))
+        assert (_flat_dis_generators(X) is not None) == (connected and abelian), X.table
+        found[connected, abelian] = found.get((connected, abelian), 0) + 1
+    assert found == {(True, True): 83, (True, False): 426, (False, True): 379, (False, False): 54}
+
+
 def test_flatness_walk_refuses_the_transpositions_of_s4_at_the_commute_check():
     # The transpositions of S_4: a connected quandle of order 6 whose rows
     # are involutions, so s_0 . s_0 passes, and whose Dis has 12 elements.

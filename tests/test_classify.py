@@ -266,10 +266,22 @@ def test_classify_relabeled_coset_quandles():
 
 
 def test_classify_rejects_disconnected():
-    for X in (dihedral_quandle(4), trivial_quandle(2), dihedral_quandle(6)):
+    # The flatness walk runs first and fails on every disconnected input,
+    # flat or not; the orbit of the rows then names the certificate.
+    rng = random.Random(2)
+    t2 = trivial_quandle(2)
+    disconnected = [dihedral_quandle(4), t2, dihedral_quandle(6)]
+    disconnected += [
+        relabeled(direct_product(dihedral_quandle(3), t2), rng),
+        relabeled(direct_product(affine_quandle(7, 3), t2), rng),
+    ]
+    for X in disconnected:
         with pytest.raises(ClassificationError) as exc:
             classify_flat_connected(X)
         assert exc.value.certificate == "not-connected"
+    with pytest.raises(ClassificationError) as exc:
+        classify_flat_connected(affine5())
+    assert exc.value.certificate == "not-flat"
 
 
 def test_classify_rejects_non_flat():

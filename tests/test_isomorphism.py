@@ -516,6 +516,44 @@ def test_refutation_stops_before_the_orders_it_does_not_need(monkeypatch):
     assert _point_profiles(affine5(), px) is None and calls == []
 
 
+def test_flat_connected_pairs_are_told_apart_without_profiles(monkeypatch):
+    # A flat connected quandle is s_x(y) = 2x - y on its Dis, so the torsion
+    # counts of Dis decide such a pair, and a pair where only one side is
+    # flat and connected is refuted by the flatness walk alone: neither
+    # computes a profile, and a refuted pair sets up no search.
+    calls = {"_point_profiles": 0, "_generation_order": 0}
+    for name in calls:
+        def counted(*args, original=getattr(isomorphism, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(isomorphism, name, counted)
+    rng = random.Random(27)
+    pairs = isomorphic = 0
+    for n in range(1, 244, 2):
+        reps = build_representatives(n)
+        for X in reps:
+            for Y in reps:
+                if Y is not X:
+                    searches = calls["_generation_order"]
+                    assert find_isomorphism(X, Y) is None, (n, X.table)
+                    assert calls["_generation_order"] == searches, (n, X.table)
+                    pairs += 1
+            Y = relabeled(X, rng)
+            w = find_isomorphism(X, Y)
+            assert w is not None and is_perm(w, n) and is_homomorphism(w, X, Y)
+            isomorphic += 1
+    assert (pairs, isomorphic) == (128, 158) and calls["_point_profiles"] == 0
+    calls["_generation_order"] = 0
+    flat_disconnected = [
+        direct_product(dihedral_quandle(m), trivial_quandle(3)) for m in (3, 5)
+    ]
+    for X, Y in [(dihedral_quandle(9), affine_quandle(9, 2)),
+                 (dihedral_quandle(9), flat_disconnected[0]),
+                 (dihedral_quandle(15), flat_disconnected[1])]:
+        assert find_isomorphism(X, Y) is None and find_isomorphism(Y, X) is None
+    assert calls == {"_point_profiles": 0, "_generation_order": 0}
+
+
 def _generation_order_over_every_pair(X):
     # By the definition: the pairs of every point are scanned, even after
     # all n points are placed.
